@@ -51,10 +51,10 @@ def main():
     onward = run(scenario([Intervention(T_HALF, InterventionKind.SIGN_FLIP)]))
 
     m = echo.markers[0]
-    print(f"flip at t=2.5:  sigma {m.pre.sigma:+.6f} -> {m.post.sigma:+.6f} (reversed)")
+    print(f"flip at t=2.5:  sigma {echo.sigma[m.pre]:+.6f} -> {echo.sigma[m.post]:+.6f} (reversed)")
     m = onward.markers[0]
     print(
-        f"flip at t={T_HALF:.4f}: sigma {m.pre.sigma:+.6f} -> {m.post.sigma:+.6f} "
+        f"flip at t={T_HALF:.4f}: sigma {onward.sigma[m.pre]:+.6f} -> {onward.sigma[m.post]:+.6f} "
         f"(nothing to reverse: the coherence is purely real there)"
     )
     print()

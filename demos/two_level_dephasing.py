@@ -60,10 +60,10 @@ def main():
             f"  {pinned.grid_population(0)[i]:12.6f}"
         )
     print()
-    marker = early.markers[0]
+    pre, post = early.markers[0].pre, early.markers[0].post
     print(
-        f"measurement at t=1: sigma {marker.pre.sigma:+.6f} -> {marker.post.sigma:+.6f}, "
-        f"purity {marker.pre.purity:.6f} -> {marker.post.purity:.6f}"
+        f"measurement at t=1: sigma {early.sigma[pre]:+.6f} -> {early.sigma[post]:+.6f}, "
+        f"purity {early.purity[pre]:.6f} -> {early.purity[post]:.6f}"
     )
     verdict = classify_effect(free, early, window=(1.0, 8.0))
     print(f"early measurement verdict on (1, 8): {verdict.effect.value}, score {verdict.score:+.4f}")

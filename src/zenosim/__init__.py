@@ -19,15 +19,13 @@ from .core import (
     ValidationError,
     ZenosimError,
     as_matrix,
-    commutator,
-    matmul,
 )
 from .diagnostics import (
-    ObservableRecord,
     coherence_rate,
     population_rate_residual,
     record_observables,
     sigma,
+    validate_observables,
 )
 from .interventions import (
     Intervention,
@@ -81,8 +79,6 @@ __all__ = [
     "HermitianMatrix",
     "SpectralData",
     "as_matrix",
-    "matmul",
-    "commutator",
     "ModelKind",
     "ModelSpec",
     "continuum_grid",
@@ -109,9 +105,9 @@ __all__ = [
     "rho00_perturbative",
     "sigma_first_order",
     "sigma_min_predictor",
-    "ObservableRecord",
     "sigma",
     "record_observables",
+    "validate_observables",
     "population_rate_residual",
     "coherence_rate",
     "ScenarioSpec",

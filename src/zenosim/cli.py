@@ -11,8 +11,8 @@ Three subcommands:
   and gnuplot script for one figure id.
 
 Exit codes: 0 success, 2 config read/parse errors, 3 validation errors
-(messages name the offending field path, e.g. run.sample_dt), 4 unknown
-figure id.
+(messages name the offending field path, e.g. run.sample_dt) and output
+write failures, 4 unknown figure id.
 
 Config schema (all sections are objects, unknown keys are rejected)::
 
@@ -336,6 +336,8 @@ def cmd_reproduce(figure_id: str, out_dir: str) -> int:
         known = ", ".join(figures.figure_ids())
         print(f"unknown figure id {figure_id!r}; known ids: {known}", file=sys.stderr)
         return EXIT_UNKNOWN_FIGURE
+    except OSError as exc:
+        raise _ConfigError(EXIT_VALIDATION, f"cannot write {out_dir}: {exc}") from exc
     for name in files:
         print(name)
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Dense complex matrix arithmetic and the Hermitian matrix type.
+"""The Hermitian matrix type, spectral data and the package's errors.
 
 Everything in this package works in atomic units: density matrices are
 dimensionless, Hamiltonians are in hartree, times in a.u. of time. All
@@ -25,8 +25,6 @@ __all__ = [
     "HermitianMatrix",
     "SpectralData",
     "as_matrix",
-    "matmul",
-    "commutator",
 ]
 
 # max |A - A^H| accepted by the HermitianMatrix constructor
@@ -89,9 +87,8 @@ class HermitianMatrix:
 
     Notes
     -----
-    `set` writes both mirror entries, so mutation preserves Hermiticity
-    exactly. Instances are intended as values: build, optionally mutate,
-    then share; nothing here locks.
+    Instances are intended as values: build, then share; no method
+    mutates the entries.
     """
 
     __slots__ = ("_m",)
@@ -134,38 +131,12 @@ class HermitianMatrix:
         m[j, j] = 1.0
         return cls._wrap(m)
 
-    @classmethod
-    def from_diagonal(cls, values) -> "HermitianMatrix":
-        """Diagonal matrix from real values."""
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise DimensionMismatchError(
-                f"expected a 1-d value vector, got shape {v.shape}"
-            )
-        return cls._wrap(np.diag(v).astype(np.complex128))
-
     @property
     def dim(self) -> int:
         return self._m.shape[0]
 
     def get(self, j: int, k: int) -> complex:
         return complex(self._m[j, k])
-
-    def set(self, j: int, k: int, value: complex) -> None:
-        """Write entry (j, k) and its mirror (k, j) = conj(value).
-
-        Diagonal writes must be real within the Hermiticity tolerance.
-        """
-        value = complex(value)
-        if j == k:
-            if abs(value.imag) > HERMITICITY_TOL:
-                raise ValidationError(
-                    f"diagonal entry ({j},{j}) must be real, got imag {value.imag:.3e}"
-                )
-            self._m[j, j] = value.real
-            return
-        self._m[j, k] = value
-        self._m[k, j] = value.conjugate()
 
     def copy(self) -> "HermitianMatrix":
         return HermitianMatrix._wrap(self._m.copy())
@@ -253,30 +224,3 @@ class SpectralData:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two square-matrix-like operands.
-
-    No symmetry is assumed on the output.
-    """
-    am, bm = as_matrix(a), as_matrix(b)
-    if am.ndim != 2 or bm.ndim != 2 or am.shape[1] != bm.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply shapes {am.shape} and {bm.shape}"
-        )
-    return am @ bm
-
-
-def commutator(h, rho) -> np.ndarray:
-    """[H, rho] = H rho - rho H.
-
-    Anti-Hermitian whenever both operands are Hermitian, which makes
-    the diagonal of the result purely imaginary.
-    """
-    hm, rm = as_matrix(h), as_matrix(rho)
-    if hm.shape != rm.shape or hm.ndim != 2:
-        raise DimensionMismatchError(
-            f"commutator needs equal square shapes, got {hm.shape} and {rm.shape}"
-        )
-    return hm @ rm - rm @ hm

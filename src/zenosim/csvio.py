@@ -39,25 +39,17 @@ def trajectory_header(dim: int, pairs) -> list:
 
 
 def trajectory_lines(traj) -> list:
-    """Header plus one line per record, in sampling order."""
+    """Header plus one line per row, in sampling order."""
     pairs = traj.spec.resolved_pairs()
-    dim = traj.spec.model.dim
-    lines = [",".join(trajectory_header(dim, pairs))]
-    for rec in traj.records:
-        vals = [format_value(rec.t)]
-        vals += [format_value(p) for p in rec.populations]
-        vals.append(format_value(rec.sigma))
-        for pair in pairs:
-            c = rec.coherences[pair]
-            vals.append(format_value(c.real))
-            vals.append(format_value(c.imag))
-        vals += [
-            format_value(rec.trace),
-            format_value(rec.purity),
-            format_value(rec.energy),
-            rec.event,
-        ]
-        lines.append(",".join(vals))
+    values = np.column_stack(
+        [traj.t, traj.populations, traj.sigma]
+        + [part for c in traj.coherences.T for part in (c.real, c.imag)]
+        + [traj.trace, traj.purity, traj.energy]
+    )
+    # '%.17g' % x is the same text as format_value(x)
+    row_format = "%.17g," * values.shape[1] + "%s"
+    lines = [",".join(trajectory_header(traj.spec.model.dim, pairs))]
+    lines += [row_format % (*row.tolist(), event) for row, event in zip(values, traj.events)]
     return lines
 
 

@@ -9,12 +9,9 @@ approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import (
-    HermitianMatrix,
     SpectralData,
     UnsupportedPairError,
     ValidationError,
@@ -23,44 +20,14 @@ from .core import (
 from .propagator import eigendecompose, evolve
 
 __all__ = [
-    "ObservableRecord",
     "sigma",
     "record_observables",
+    "validate_observables",
     "population_rate_residual",
     "coherence_rate",
 ]
 
 FD_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class ObservableRecord:
-    """One sampled point of a trajectory.
-
-    ``coherences`` maps (j, k) index pairs to the complex entries
-    rho[j, k]. ``event`` tags how the sample arose: a plain grid point
-    ("none") or the state just before or after an intervention.
-    """
-
-    t: float
-    populations: np.ndarray
-    sigma: float
-    coherences: dict = field(default_factory=dict)
-    trace: float = 1.0
-    purity: float = 1.0
-    energy: float = 0.0
-    event: str = "none"
-
-    def validate(self) -> "ObservableRecord":
-        dim = self.populations.size
-        problems = []
-        if abs(float(np.sum(self.populations)) - self.trace) > 1e-10:
-            problems.append("populations do not sum to the trace")
-        if not (1.0 / dim - 1e-10) <= self.purity <= 1.0 + 1e-10:
-            problems.append(f"purity {self.purity!r} outside [1/dim, 1]")
-        if problems:
-            raise ValidationError("bad observable record: " + "; ".join(problems))
-        return self
 
 
 def sigma(rho) -> float:
@@ -73,28 +40,50 @@ def sigma(rho) -> float:
     return float(np.sum(np.imag(m[0, 1:])))
 
 
-def record_observables(t: float, rho, h, pairs=(), event: str = "none") -> ObservableRecord:
-    """Snapshot every scalar the CSV schema carries.
+def record_observables(rho, h, pairs=()) -> tuple:
+    """One trajectory row: every per-state scalar the CSV schema carries.
 
-    ``pairs`` selects which individual coherences to keep; the summed
-    sigma column is always present.
+    Returns ``(populations, sigma, coherences, trace, purity, energy)``,
+    where ``coherences`` lists the complex entries rho[j, k] for the
+    chosen ``pairs``; the summed sigma column is always present.
     """
     m = as_matrix(rho)
     hm = np.real(as_matrix(h))
-    pops = np.real(np.diagonal(m)).copy()
-    # tr(H rho) without the O(n^3) product; H is real symmetric
-    energy = float(np.sum(hm * np.real(m)))
-    rec = ObservableRecord(
-        t=float(t),
-        populations=pops,
-        sigma=sigma(m),
-        coherences={(j, k): complex(m[j, k]) for j, k in pairs},
-        trace=float(np.real(np.trace(m))),
-        purity=float(np.sum(np.abs(m) ** 2)),
-        energy=energy,
-        event=event,
+    return (
+        np.real(np.diagonal(m)),
+        sigma(m),
+        [m[j, k] for j, k in pairs],
+        np.real(np.trace(m)),
+        np.sum(np.abs(m) ** 2),
+        # tr(H rho) without the O(n^3) product; H is real symmetric
+        np.sum(hm * np.real(m)),
     )
-    return rec.validate()
+
+
+def validate_observables(populations, trace, purity) -> None:
+    """Gate the finished columns of a trajectory.
+
+    ``populations`` has shape (rows, dim); ``trace`` and ``purity`` have
+    shape (rows,). Every row's populations must sum to its trace within
+    1e-10, and its purity must lie in [1/dim, 1] within 1e-10.
+
+    Raises
+    ------
+    ValidationError
+        Naming the first offending row of each violated gate.
+    """
+    dim = populations.shape[1]
+    problems = []
+    bad_sum = np.flatnonzero(np.abs(populations.sum(axis=1) - trace) > 1e-10)
+    if bad_sum.size:
+        problems.append(f"populations do not sum to the trace in row {bad_sum[0]}")
+    ok = (purity >= 1.0 / dim - 1e-10) & (purity <= 1.0 + 1e-10)
+    bad_purity = np.flatnonzero(~ok)
+    if bad_purity.size:
+        r = bad_purity[0]
+        problems.append(f"purity {float(purity[r])!r} outside [1/dim, 1] in row {r}")
+    if problems:
+        raise ValidationError("bad observable rows: " + "; ".join(problems))
 
 
 def population_rate_residual(rho, h, j: int, spectral: SpectralData | None = None) -> float:

@@ -81,15 +81,17 @@ def _curve_set(fig, base, kind, times, out_dir):
 def _predictor_csv(fig, base, reference, out_dir) -> str:
     """Dip predictions along the reference trajectory's populations."""
     model = base["model"]
-    recs = reference.grid_records()
-    t = np.array([r.t for r in recs])
     tmins, smins = [], []
-    for r in recs:
-        tm, sm = sigma_min_predictor(channel_inputs(model, r.populations))
+    for pops in reference.populations[reference.grid]:
+        tm, sm = sigma_min_predictor(channel_inputs(model, pops))
         tmins.append(tm)
         smins.append(sm)
     name = f"{fig}_predictor.csv"
-    write_table_csv(os.path.join(out_dir, name), ["t", "t_min", "sigma_min"], [t, tmins, smins])
+    write_table_csv(
+        os.path.join(out_dir, name),
+        ["t", "t_min", "sigma_min"],
+        [reference.grid_times(), tmins, smins],
+    )
     return name
 
 

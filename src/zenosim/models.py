@@ -130,16 +130,20 @@ class ModelSpec:
         problems = []
         if not math.isfinite(self.v) or self.v < 0:
             problems.append(f"v must be a finite nonnegative coupling, got {self.v!r}")
+        if not math.isfinite(self.eps0):
+            problems.append(f"eps0 must be finite, got {self.eps0!r}")
         if self.kind is ModelKind.TWO_LEVEL:
             if self.eps1 is None:
                 problems.append("eps1 is required for the two-level kind")
+            elif not math.isfinite(self.eps1):
+                problems.append(f"eps1 must be finite, got {self.eps1!r}")
         else:
-            if self.d is None or not self.d > 0:
-                problems.append(f"d must be positive for band kinds, got {self.d!r}")
+            if self.d is None or not (self.d > 0 and math.isfinite(self.d)):
+                problems.append(f"d must be positive and finite for band kinds, got {self.d!r}")
             if self.n_levels is None or self.n_levels < 2:
                 problems.append(f"n_levels must be at least 2, got {self.n_levels!r}")
-            if self.spacing is None or not self.spacing > 0:
-                problems.append(f"spacing must be positive, got {self.spacing!r}")
+            if self.spacing is None or not (self.spacing > 0 and math.isfinite(self.spacing)):
+                problems.append(f"spacing must be positive and finite, got {self.spacing!r}")
             if not problems:
                 span = (self.n_levels - 1) * self.spacing
                 if span > 2 * self.d + GRID_SPAN_SLACK:

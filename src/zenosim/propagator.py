@@ -126,14 +126,11 @@ def rk4_evolve(rho, h, t: float, dt: float = 1e-3) -> HermitianMatrix:
     hm = as_matrix(h)
     r = as_matrix(rho).copy()
 
-    def rhs(m):
-        return -1j * (hm @ m - m @ hm)
-
     def step(m, s):
-        k1 = rhs(m)
-        k2 = rhs(m + (0.5 * s) * k1)
-        k3 = rhs(m + (0.5 * s) * k2)
-        k4 = rhs(m + s * k3)
+        k1 = liouville_rhs(hm, m)
+        k2 = liouville_rhs(hm, m + (0.5 * s) * k1)
+        k3 = liouville_rhs(hm, m + (0.5 * s) * k2)
+        k4 = liouville_rhs(hm, m + s * k3)
         return m + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     nfull = int(np.floor(t / dt + 1e-9))

@@ -3,11 +3,10 @@
 A run propagates exactly between scheduled interventions, reusing one
 eigendecomposition for the whole trajectory, and samples observables on
 a uniform grid. Interventions are instantaneous: each contributes a
-pre-record and a post-record at the same time stamp, with equal
-populations and (possibly) different coherences. When an intervention
-lands exactly on a grid point, the intervention applies first, the grid
-sample records the post-intervention state, and the pre-intervention
-sample is recorded additionally just before it.
+pre row and a post row at the same time stamp, with equal populations
+and (possibly) different coherences. When an intervention lands
+exactly on a grid point, the intervention applies first, the grid
+sample is the post row, and the pre row sits just before it.
 
 The pipeline is deterministic end to end; repeated runs of the same
 spec produce bit-identical trajectories.
@@ -15,6 +14,7 @@ spec produce bit-identical trajectories.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ValidationError
-from .diagnostics import ObservableRecord, record_observables
+from .diagnostics import record_observables, validate_observables
 from .interventions import (
     InterventionKind,
     InterventionSchedule,
@@ -79,11 +79,16 @@ class ScenarioSpec:
     def validate(self) -> "ScenarioSpec":
         self.model.validate()
         problems = []
-        if not self.t_final > 0:
-            problems.append(f"t_final must be positive, got {self.t_final!r}")
+        if not (self.t_final > 0 and math.isfinite(self.t_final)):
+            problems.append(f"t_final must be positive and finite, got {self.t_final!r}")
         if not 0 < self.sample_dt <= self.t_final:
             problems.append(
                 f"sample_dt must lie in (0, t_final], got {self.sample_dt!r}"
+            )
+        if not problems and not math.isfinite(self.t_final / self.sample_dt):
+            problems.append(
+                f"t_final / sample_dt overflows for t_final {self.t_final!r} "
+                f"and sample_dt {self.sample_dt!r}"
             )
         dim = self.model.dim
         for j, k in self.resolved_pairs():
@@ -97,53 +102,90 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class InterventionMarker:
+    """One intervention and the rows holding the states around it.
+
+    ``pre`` and ``post`` index the trajectory's rows; ``post`` is always
+    ``pre + 1``.
+    """
+
     time: float
     kind: InterventionKind
     target: int
-    pre: ObservableRecord
-    post: ObservableRecord
+    pre: int
+    post: int
 
 
 @dataclass
 class Trajectory:
-    """Ordered samples plus one marker per intervention."""
+    """A run stored as columns, one row per sample in sampling order.
+
+    Row r holds the time ``t[r]``, the populations ``populations[r]``,
+    the summed Im coherences ``sigma[r]``, the tracked pairs
+    ``coherences[r]`` (complex, in ``spec.resolved_pairs()`` order), the
+    invariants ``trace[r]``, ``purity[r]``, ``energy[r]`` and the tag
+    ``events[r]``. ``grid[i]`` is the row of grid time ``i * sample_dt``;
+    where an intervention ties with a grid point it is the post row, the
+    state the run carries forward.
+    """
 
     spec: ScenarioSpec
-    records: list
+    t: np.ndarray
+    events: list
+    populations: np.ndarray
+    sigma: np.ndarray
+    coherences: np.ndarray
+    trace: np.ndarray
+    purity: np.ndarray
+    energy: np.ndarray
+    grid: np.ndarray
     markers: list
 
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
-
-    def grid_records(self) -> list:
-        """The uniform-grid view: one record per grid time.
-
-        Pre/post duplicates collapse to the last record at that time,
-        the state the run carries forward.
-        """
-        dt = self.spec.sample_dt
-        n = int(np.floor(self.spec.t_final / dt + 1e-9))
-        slots: list = [None] * (n + 1)
-        for rec in self.records:
-            i = int(round(rec.t / dt))
-            if 0 <= i <= n and abs(rec.t - i * dt) <= _tie_tol(rec.t):
-                slots[i] = rec
-        missing = [i for i, r in enumerate(slots) if r is None]
-        if missing:
-            raise ValidationError(f"grid samples missing at indices {missing[:5]}")
-        return slots
-
     def grid_times(self) -> np.ndarray:
-        return np.array([r.t for r in self.grid_records()])
+        return self.t[self.grid]
 
     def grid_population(self, j: int) -> np.ndarray:
-        return np.array([r.populations[j] for r in self.grid_records()])
+        return self.populations[self.grid, j]
 
     def grid_sigma(self) -> np.ndarray:
-        return np.array([r.sigma for r in self.grid_records()])
+        return self.sigma[self.grid]
 
 
 _EVENT_NAME = {InterventionKind.MEASURE: "measure", InterventionKind.SIGN_FLIP: "flip"}
+
+
+def _row_plan(spec: ScenarioSpec):
+    """Times, event tags, grid rows and markers of a run, before any state.
+
+    Each intervention takes a pre row and a post row at its own time.
+    A grid time within `_tie_tol` of it gets no row of its own: its grid
+    slot points at the post row.
+    """
+    n = int(np.floor(spec.t_final / spec.sample_dt + 1e-9))
+    grid_t = np.arange(n + 1) * spec.sample_dt
+    t: list = []
+    events: list = []
+    grid: list = []
+    markers: list = []
+
+    def add_grid_rows(stop: int) -> None:
+        for i in range(len(grid), stop):
+            grid.append(len(t))
+            t.append(grid_t[i])
+            events.append("none")
+
+    for item in spec.schedule:
+        tau = item.time
+        add_grid_rows(int(np.searchsorted(grid_t, tau - _tie_tol(tau))))
+        pre = len(t)
+        name = _EVENT_NAME[item.kind]
+        t += [tau, tau]
+        events += [f"pre_{name}", f"post_{name}"]
+        markers.append(InterventionMarker(tau, item.kind, item.target, pre, pre + 1))
+        i = len(grid)  # the next grid time
+        if i <= n and abs(grid_t[i] - tau) <= _tie_tol(tau):
+            grid.append(pre + 1)
+    add_grid_rows(n + 1)
+    return np.array(t, dtype=np.float64), events, np.array(grid), markers
 
 
 def run(spec: ScenarioSpec) -> Trajectory:
@@ -157,46 +199,43 @@ def run(spec: ScenarioSpec) -> Trajectory:
     h, rho0 = build(spec.model)
     spectral = eigendecompose(h)
     pairs = spec.resolved_pairs()
+    t, events, grid, markers = _row_plan(spec)
 
-    n = int(np.floor(spec.t_final / spec.sample_dt + 1e-9))
-    grid = np.arange(n + 1) * spec.sample_dt
+    rows = t.size
+    populations = np.empty((rows, spec.model.dim))
+    sigma = np.empty(rows)
+    coherences = np.empty((rows, len(pairs)), dtype=np.complex128)
+    trace = np.empty(rows)
+    purity = np.empty(rows)
+    energy = np.empty(rows)
 
-    records: list = []
-    markers: list = []
+    interventions = {m.post: item for m, item in zip(markers, spec.schedule)}
     seg_rho, seg_t = rho0, 0.0
+    for r in range(rows):
+        item = interventions.get(r)
+        if item is None:
+            state = evolve(seg_rho, spectral, t[r] - seg_t)
+        else:
+            # the previous row is the pre state at the same instant
+            state = seg_rho = apply_intervention(state, item)
+            seg_t = t[r]
+        row = record_observables(state, h, pairs)
+        populations[r], sigma[r], coherences[r], trace[r], purity[r], energy[r] = row
 
-    def sample(t: float, state, event: str) -> ObservableRecord:
-        rec = record_observables(t, state, h, pairs, event)
-        records.append(rec)
-        return rec
-
-    i = 0
-    for item in spec.schedule:
-        tau = item.time
-        while i <= n and grid[i] < tau - _tie_tol(tau):
-            sample(grid[i], evolve(seg_rho, spectral, grid[i] - seg_t), "none")
-            i += 1
-        tied = i <= n and abs(grid[i] - tau) <= _tie_tol(tau)
-
-        name = _EVENT_NAME[item.kind]
-        pre_state = evolve(seg_rho, spectral, tau - seg_t)
-        pre_rec = sample(tau, pre_state, f"pre_{name}")
-        post_state = apply_intervention(pre_state, item)
-        post_rec = sample(tau, post_state, f"post_{name}")
-        markers.append(
-            InterventionMarker(
-                time=tau, kind=item.kind, target=item.target, pre=pre_rec, post=post_rec
-            )
-        )
-        seg_rho, seg_t = post_state, tau
-        if tied:
-            i += 1
-
-    while i <= n:
-        sample(grid[i], evolve(seg_rho, spectral, grid[i] - seg_t), "none")
-        i += 1
-
-    return Trajectory(spec=spec, records=records, markers=markers)
+    validate_observables(populations, trace, purity)
+    return Trajectory(
+        spec=spec,
+        t=t,
+        events=events,
+        populations=populations,
+        sigma=sigma,
+        coherences=coherences,
+        trace=trace,
+        purity=purity,
+        energy=energy,
+        grid=grid,
+        markers=markers,
+    )
 
 
 def run_batch(specs, max_workers: int | None = None) -> list:

@@ -197,11 +197,12 @@ def test_criterion_02_single_measurement_lifts_survival(two):
     slope = (evolve(post, spectral, delta).get(0, 0).real - post.get(0, 0).real) / delta
     rep.check(abs(slope) <= 1e-6, f"restart slope {slope!r} exceeds 1e-6")
     # the rate identity gives exactly zero: every coherence was erased
+    measured_traj = two["trajs"]["measure_1"]
     rep.check(
-        -2.0 * 0.2 * two["trajs"]["measure_1"].markers[0].post.sigma == 0.0,
+        -2.0 * 0.2 * measured_traj.sigma[measured_traj.markers[0].post] == 0.0,
         "post-measurement rate identity is not exactly zero",
     )
-    free_slope = -2.0 * 0.2 * two["trajs"]["free"].grid_records()[100].sigma
+    free_slope = -2.0 * 0.2 * two["trajs"]["free"].grid_sigma()[100]
     rep.check(
         abs(free_slope) > 0.01,
         f"free slope at t=1 is {free_slope!r}, too flat to contrast",
@@ -306,15 +307,15 @@ def test_criterion_07_repeated_measurement_retards_band_decay(lic):
     tg = meas.grid_times()
     for marker in meas.markers:
         rep.check(
-            marker.post.sigma == 0.0,
-            f"sigma after the measurement at t={marker.time:g} is {marker.post.sigma!r}",
+            meas.sigma[marker.post] == 0.0,
+            f"sigma after the measurement at t={marker.time:g} is {meas.sigma[marker.post]!r}",
         )
         k = int(round(marker.time / meas.spec.sample_dt))
         while k + 1 < s.size and s[k + 1] <= s[k]:
             k += 1
         dip = float(s[k])
         t_pred, s_pred = sigma_min_predictor(
-            channel_inputs(lic["model"], marker.post.populations)
+            channel_inputs(lic["model"], meas.populations[marker.post])
         )
         rel = abs(dip - s_pred) / abs(s_pred)
         rep.check(

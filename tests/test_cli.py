@@ -212,3 +212,30 @@ def test_reproduce_is_deterministic(tmp_path):
     main(["reproduce", "--figure", "fig1", "--out-dir", str(b)])
     for name in ["fig1_exact.csv", "fig1_dephase_t1.csv", "fig1_perturbative.csv", "fig1.gp"]:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "section, values, field",
+    [
+        ("model", {"kind": "two_level", "eps0": float("inf")}, "eps0"),
+        ("model", {"kind": "two_level", "eps1": float("nan")}, "eps1"),
+        ("model", {"kind": "level_in_continuum", "d": float("inf")}, "d must"),
+        ("model", {"kind": "level_in_continuum", "spacing": float("inf")}, "spacing"),
+        ("run", {"t_final": float("inf"), "sample_dt": 0.25}, "t_final"),
+        ("run", {"t_final": 1e300, "sample_dt": 1e-300}, "sample_dt"),
+    ],
+)
+def test_non_finite_inputs_exit_3(tmp_path, capsys, section, values, field):
+    doc = base_config(tmp_path, **{section: values})
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+def test_reproduce_write_failure_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out_dir = blocker / "sub"
+    assert main(["reproduce", "--figure", "fig2", "--out-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert "cannot write" in err and str(out_dir) in err

@@ -5,11 +5,11 @@ import pytest
 
 from zenosim.core import HermitianMatrix, UnsupportedPairError, ValidationError
 from zenosim.diagnostics import (
-    ObservableRecord,
     coherence_rate,
     population_rate_residual,
     record_observables,
     sigma,
+    validate_observables,
 )
 from zenosim.interventions import measure_dephase, sign_flip
 from zenosim.models import ModelSpec, build
@@ -38,7 +38,7 @@ def fd_matrix_rate(state, spectral):
 
 def test_sigma_zero_on_diagonal_states():
     assert sigma(HermitianMatrix.basis_state(4, 0)) == 0.0
-    assert sigma(HermitianMatrix.from_diagonal([0.3, 0.3, 0.4])) == 0.0
+    assert sigma(HermitianMatrix(np.diag([0.3, 0.3, 0.4]))) == 0.0
 
 
 def test_sigma_two_level_value(two_level):
@@ -158,27 +158,23 @@ def test_hub_coherence_rate_gap_mid_trajectory(in_band):
 def test_record_observables_energy_against_dense_trace(in_band):
     h, rho0, spectral = in_band
     state = evolve(rho0, spectral, 17.0)
-    rec = record_observables(17.0, state, h, pairs=((0, 1),))
+    pops, _, coherences, trace, purity, energy = record_observables(
+        state, h, pairs=((0, 1),)
+    )
     want = float(np.real(np.trace(h @ state.as_array())))
-    np.testing.assert_allclose(rec.energy, want, atol=1e-12)
-    assert rec.coherences[(0, 1)] == state.get(0, 1)
-    np.testing.assert_allclose(rec.trace, 1.0, atol=1e-12)
-    np.testing.assert_allclose(rec.purity, state.purity(), atol=1e-14)
-
-
-def test_record_event_tag_passthrough(two_level):
-    h, rho0, _ = two_level
-    rec = record_observables(0.0, rho0, h, event="post_measure")
-    assert rec.event == "post_measure"
-    assert rec.t == 0.0
+    np.testing.assert_allclose(energy, want, atol=1e-12)
+    assert coherences == [state.get(0, 1)]
+    np.testing.assert_array_equal(pops, state.populations())
+    np.testing.assert_allclose(trace, 1.0, atol=1e-12)
+    np.testing.assert_allclose(purity, state.purity(), atol=1e-14)
 
 
 def test_observable_record_validation():
     with pytest.raises(ValidationError):
-        ObservableRecord(
-            t=0.0, populations=np.array([0.7, 0.7]), sigma=0.0
-        ).validate()
-    with pytest.raises(ValidationError):
-        ObservableRecord(
-            t=0.0, populations=np.array([0.5, 0.5]), sigma=0.0, purity=1.5
-        ).validate()
+        validate_observables(np.array([[0.7, 0.7]]), np.array([1.0]), np.array([1.0]))
+    with pytest.raises(ValidationError) as err:
+        validate_observables(
+            np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([1.0, 1.0]), np.array([1.0, 1.5])
+        )
+    assert "purity 1.5" in str(err.value) and "row 1" in str(err.value)
+    validate_observables(np.array([[0.5, 0.5]]), np.array([1.0]), np.array([0.5]))

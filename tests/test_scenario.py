@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim.core import ValidationError
 from zenosim.interventions import Intervention, InterventionKind, InterventionSchedule
@@ -38,8 +40,9 @@ def test_free_run_matches_closed_form():
 
 def test_record_count_without_interventions():
     traj = run(two_level_scenario())
-    assert len(traj.records) == 13  # floor(3 / 0.25) + 1
-    assert all(r.event == "none" for r in traj.records)
+    assert traj.t.size == 13  # floor(3 / 0.25) + 1
+    assert traj.events == ["none"] * 13
+    np.testing.assert_array_equal(traj.grid, np.arange(13))
     assert traj.markers == []
 
 
@@ -49,15 +52,13 @@ def test_intervention_on_grid_point_adds_one_record():
             schedule=[Intervention(1.0, InterventionKind.MEASURE)]
         )
     )
-    assert len(traj.records) == 14
-    events = [r.event for r in traj.records]
-    assert events[4] == "pre_measure" and events[5] == "post_measure"
-    assert traj.records[4].t == traj.records[5].t == 1.0
+    assert traj.t.size == 14
+    assert traj.events[4] == "pre_measure" and traj.events[5] == "post_measure"
+    assert traj.t[4] == traj.t[5] == 1.0
     # the grid view keeps the post state, the one carried forward
-    grid = traj.grid_records()
-    assert len(grid) == 13
-    assert grid[4].event == "post_measure"
-    assert grid[4].sigma == 0.0
+    assert traj.grid.size == 13
+    assert traj.events[traj.grid[4]] == "post_measure"
+    assert traj.grid_sigma()[4] == 0.0
 
 
 def test_intervention_off_grid_adds_two_records():
@@ -66,10 +67,10 @@ def test_intervention_off_grid_adds_two_records():
             schedule=[Intervention(1.1, InterventionKind.MEASURE)]
         )
     )
-    assert len(traj.records) == 15
-    times = [r.t for r in traj.records]
-    assert times.count(1.1) == 2
-    assert len(traj.grid_records()) == 13  # grid view unaffected
+    assert traj.t.size == 15
+    assert np.count_nonzero(traj.t == 1.1) == 2
+    assert traj.grid.size == 13  # grid view unaffected
+    np.testing.assert_array_equal(traj.grid_times(), np.arange(13) * 0.25)
 
 
 def test_marker_populations_and_coherences():
@@ -80,10 +81,13 @@ def test_marker_populations_and_coherences():
     )
     (marker,) = traj.markers
     assert marker.kind is InterventionKind.MEASURE
-    np.testing.assert_array_equal(marker.pre.populations, marker.post.populations)
-    assert marker.pre.sigma != 0.0
-    assert marker.post.sigma == 0.0
-    assert marker.post.purity < marker.pre.purity
+    assert (marker.pre, marker.post) == (4, 5)
+    np.testing.assert_array_equal(
+        traj.populations[marker.pre], traj.populations[marker.post]
+    )
+    assert traj.sigma[marker.pre] != 0.0
+    assert traj.sigma[marker.post] == 0.0
+    assert traj.purity[marker.post] < traj.purity[marker.pre]
 
 
 def test_flip_marker_negates_sigma_exactly():
@@ -93,8 +97,52 @@ def test_flip_marker_negates_sigma_exactly():
         )
     )
     (marker,) = traj.markers
-    assert marker.post.sigma == -marker.pre.sigma
-    assert marker.post.purity == marker.pre.purity
+    assert traj.sigma[marker.post] == -traj.sigma[marker.pre]
+    assert traj.purity[marker.post] == traj.purity[marker.pre]
+
+
+@st.composite
+def grids_and_schedules(draw):
+    """A two-level scenario whose interventions land on grid points or
+    clearly between them."""
+    dt = draw(st.floats(min_value=0.05, max_value=0.7))
+    t_final = draw(st.floats(min_value=dt, max_value=3.0))
+    n = int(np.floor(t_final / dt + 1e-9))
+    on_grid = {k * dt for k in draw(st.sets(st.integers(1, n), max_size=4))}
+    off_grid = draw(
+        st.lists(st.floats(min_value=1e-3, max_value=t_final, exclude_max=True), max_size=4)
+    )
+    off_grid = {x for x in off_grid if abs(x - round(x / dt) * dt) > 1e-6}
+    times = sorted(t for t in on_grid | off_grid if t < t_final)
+    kinds = st.sampled_from(list(InterventionKind))
+    return two_level_scenario(
+        t_final, dt, [Intervention(t, draw(kinds), draw(st.integers(0, 1))) for t in times]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids_and_schedules())
+def test_row_plan_places_grid_and_intervention_rows(spec):
+    traj = run(spec)
+    dt = spec.sample_dt
+    n = int(np.floor(spec.t_final / dt + 1e-9))
+    np.testing.assert_array_equal(traj.grid_times(), np.arange(n + 1) * dt)
+    assert np.all(np.diff(traj.grid) > 0)
+    assert len(traj.markers) == len(spec.schedule)
+    for marker, item in zip(traj.markers, spec.schedule):
+        assert marker.post == marker.pre + 1
+        assert traj.t[marker.pre] == traj.t[marker.post] == item.time
+        assert traj.events[marker.pre].startswith("pre_")
+        assert traj.events[marker.post].startswith("post_")
+        np.testing.assert_array_equal(
+            traj.populations[marker.pre], traj.populations[marker.post]
+        )
+        k = round(item.time / dt)
+        if item.time == k * dt:
+            assert traj.grid[k] == marker.post
+    marker_rows = {r for m in traj.markers for r in (m.pre, m.post)}
+    assert set(traj.grid.tolist()) | marker_rows == set(range(traj.t.size))
+    np.testing.assert_array_equal(traj.grid_population(0), traj.populations[traj.grid, 0])
 
 
 def test_sampling_density_does_not_change_states():
@@ -113,10 +161,10 @@ def test_runs_are_bit_identical():
         ]
     )
     a, b = run(spec), run(spec)
-    assert [r.t for r in a.records] == [r.t for r in b.records]
-    for ra, rb in zip(a.records, b.records):
-        np.testing.assert_array_equal(ra.populations, rb.populations)
-        assert ra.sigma == rb.sigma and ra.purity == rb.purity
+    np.testing.assert_array_equal(a.t, b.t)
+    np.testing.assert_array_equal(a.populations, b.populations)
+    np.testing.assert_array_equal(a.sigma, b.sigma)
+    np.testing.assert_array_equal(a.purity, b.purity)
 
 
 def test_run_batch_matches_sequential():
@@ -129,18 +177,9 @@ def test_run_batch_matches_sequential():
     assert len(batch) == 3
     for spec, traj in zip(specs, batch):
         solo = run(spec)
-        assert [r.event for r in traj.records] == [r.event for r in solo.records]
-        for ra, rb in zip(traj.records, solo.records):
-            np.testing.assert_array_equal(ra.populations, rb.populations)
+        assert traj.events == solo.events
+        np.testing.assert_array_equal(traj.populations, solo.populations)
     assert run_batch([]) == []
-
-
-def test_grid_records_detects_missing_samples():
-    traj = run(two_level_scenario())
-    del traj.records[3]
-    with pytest.raises(ValidationError) as err:
-        traj.grid_records()
-    assert "missing" in str(err.value)
 
 
 def test_classify_neutral_against_itself():
