@@ -38,7 +38,19 @@ ORTHONORMALITY_TOL = 1e-10
 
 
 class ZenosimError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``problems``: one ``(field, text)`` pair per rule a spec broke, where
+    ``field`` is a dotted path such as ``schedule[0].time``.
+    """
+
+    problems: tuple = ()
+
+    @classmethod
+    def from_problems(cls, what: str, problems) -> "ZenosimError":
+        err = cls(f"invalid {what}: " + "; ".join(f"{f} {text}" for f, text in problems))
+        err.problems = tuple(problems)
+        return err
 
 
 class DimensionMismatchError(ZenosimError):
@@ -115,12 +127,6 @@ class HermitianMatrix:
         return obj
 
     @classmethod
-    def zeros(cls, dim: int) -> "HermitianMatrix":
-        if dim < 1:
-            raise ParameterError(f"dim must be positive, got {dim}")
-        return cls._wrap(np.zeros((dim, dim), dtype=np.complex128))
-
-    @classmethod
     def basis_state(cls, dim: int, j: int) -> "HermitianMatrix":
         """Projector |j><j| as a density matrix."""
         if dim < 1:
@@ -137,9 +143,6 @@ class HermitianMatrix:
 
     def get(self, j: int, k: int) -> complex:
         return complex(self._m[j, k])
-
-    def copy(self) -> "HermitianMatrix":
-        return HermitianMatrix._wrap(self._m.copy())
 
     def as_array(self) -> np.ndarray:
         """Defensive copy of the entries."""

@@ -65,29 +65,29 @@ class InterventionSchedule:
         return iter(self.items)
 
     def validate(self, dim: int | None = None, t_final: float | None = None):
+        """Raise ValidationError with a ``schedule[i]...`` problem per bad item."""
         problems = []
         prev = 0.0
         for i, item in enumerate(self.items):
+            path = f"schedule[{i}]"
             if not isinstance(item, Intervention):
-                problems.append(f"item {i} is not an Intervention")
+                problems.append((path, "is not an Intervention"))
                 continue
             if not item.time > 0:
-                problems.append(f"item {i}: time {item.time!r} must be positive")
+                problems.append((f"{path}.time", f"{item.time!r} must be positive"))
             elif not item.time > prev:
                 problems.append(
-                    f"item {i}: time {item.time!r} does not increase past {prev!r}"
+                    (f"{path}.time", f"{item.time!r} does not increase past {prev!r}")
                 )
             prev = max(prev, item.time)
             if t_final is not None and item.time >= t_final:
                 problems.append(
-                    f"item {i}: time {item.time!r} is not before t_final {t_final!r}"
+                    (f"{path}.time", f"{item.time!r} is not before t_final {t_final!r}")
                 )
             if dim is not None and not 0 <= item.target < dim:
-                problems.append(
-                    f"item {i}: target {item.target} outside [0, {dim})"
-                )
+                problems.append((f"{path}.target", f"{item.target} outside [0, {dim})"))
         if problems:
-            raise ValidationError("invalid schedule: " + "; ".join(problems))
+            raise ValidationError.from_problems("schedule", problems)
         return self
 
 

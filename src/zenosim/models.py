@@ -15,7 +15,7 @@ the band.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,6 +35,11 @@ __all__ = [
 
 # overhang tolerance for (n_levels - 1) * spacing <= 2 d
 GRID_SPAN_SLACK = 1e-9
+# largest |energy| and coupling, hartree: at 1e5 a 201-level band already
+# misses the absolute 1e-10 eigendecomposition gate; 1,000 levels at 1e3 pass
+MAX_ENERGY = 1e3
+# largest dimension: propagation works on dense dim x dim complex matrices
+MAX_DIM = 1001
 
 
 class ModelKind(str, Enum):
@@ -115,43 +120,47 @@ class ModelSpec:
             v=v, eps0=eps0, d=d, n_levels=n_levels, spacing=spacing,
         )
 
-    def is_continuum(self) -> bool:
-        return self.kind is not ModelKind.TWO_LEVEL
-
     @property
     def dim(self) -> int:
         if self.kind is ModelKind.TWO_LEVEL:
             return 2
+        return self.n_levels + 1
+
+    def __post_init__(self):
         self.validate()
-        return int(self.n_levels) + 1
 
     def validate(self) -> "ModelSpec":
-        """Check the parameter set, raising ParameterError listing violations."""
+        """Check the parameters (run when the spec is built), raising
+        ParameterError with one ``model.<field>`` problem per violation."""
         problems = []
-        if not math.isfinite(self.v) or self.v < 0:
-            problems.append(f"v must be a finite nonnegative coupling, got {self.v!r}")
-        if not math.isfinite(self.eps0):
-            problems.append(f"eps0 must be finite, got {self.eps0!r}")
+        bound = f"at most {MAX_ENERGY:g} in magnitude"
+        if not 0 <= self.v <= MAX_ENERGY:
+            problems.append(("v", f"must be a nonnegative coupling {bound}, got {self.v!r}"))
+        if not abs(self.eps0) <= MAX_ENERGY:
+            problems.append(("eps0", f"must be {bound}, got {self.eps0!r}"))
         if self.kind is ModelKind.TWO_LEVEL:
             if self.eps1 is None:
-                problems.append("eps1 is required for the two-level kind")
-            elif not math.isfinite(self.eps1):
-                problems.append(f"eps1 must be finite, got {self.eps1!r}")
+                problems.append(("eps1", "is required for the two-level kind"))
+            elif not abs(self.eps1) <= MAX_ENERGY:
+                problems.append(("eps1", f"must be {bound}, got {self.eps1!r}"))
         else:
-            if self.d is None or not (self.d > 0 and math.isfinite(self.d)):
-                problems.append(f"d must be positive and finite for band kinds, got {self.d!r}")
-            if self.n_levels is None or self.n_levels < 2:
-                problems.append(f"n_levels must be at least 2, got {self.n_levels!r}")
-            if self.spacing is None or not (self.spacing > 0 and math.isfinite(self.spacing)):
-                problems.append(f"spacing must be positive and finite, got {self.spacing!r}")
-            if not problems:
-                span = (self.n_levels - 1) * self.spacing
-                if span > 2 * self.d + GRID_SPAN_SLACK:
-                    problems.append(
-                        f"band span {span!r} exceeds the width 2d = {2 * self.d!r}"
-                    )
+            d, n, spacing = self.d, self.n_levels, self.spacing
+            if d is None or not 0 < d <= MAX_ENERGY:
+                problems.append(("d", f"must be positive and {bound} for band kinds, got {d!r}"))
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 2:
+                problems.append(("n_levels", f"must be an integer of at least 2, got {n!r}"))
+            elif n + 1 > MAX_DIM:
+                problems.append(("n_levels", f"{n} exceeds the limit of {MAX_DIM - 1} levels"))
+            if spacing is None or not spacing > 0:
+                problems.append(("spacing", f"must be positive, got {spacing!r}"))
+            if not problems:  # an infinite or huge spacing fails here, compared exactly
+                span = (n - 1) * spacing
+                if span > 2 * d + GRID_SPAN_SLACK:
+                    problems.append(("spacing", f"band span {span!r} exceeds 2d = {2 * d!r}"))
         if problems:
-            raise ParameterError("invalid model parameters: " + "; ".join(problems))
+            raise ParameterError.from_problems(
+                "model parameters", [(f"model.{name}", text) for name, text in problems]
+            )
         return self
 
 
@@ -167,7 +176,6 @@ def continuum_grid(n: int, spacing: float, d: float) -> np.ndarray:
 
 def level_energies(spec: ModelSpec) -> np.ndarray:
     """All level energies, state 0 first."""
-    spec.validate()
     if spec.kind is ModelKind.TWO_LEVEL:
         return np.array([spec.eps0, spec.eps1], dtype=np.float64)
     grid = continuum_grid(spec.n_levels, spec.spacing, spec.d)
@@ -183,10 +191,7 @@ def build_two_level(eps0: float = -0.2, eps1: float = 0.2, v: float = 0.2):
         [[eps0, v], [v, eps1]], real symmetric.
     rho0 : HermitianMatrix
     """
-    if not v > 0:
-        raise ParameterError(f"coupling v must be positive, got {v!r}")
-    h = np.array([[eps0, v], [v, eps1]], dtype=np.float64)
-    return h, HermitianMatrix.basis_state(2, 0)
+    return build(ModelSpec.two_level(eps0=eps0, eps1=eps1, v=v))
 
 
 def build_continuum(eps0: float, d: float, n: int, spacing: float, v: float):
@@ -195,23 +200,19 @@ def build_continuum(eps0: float, d: float, n: int, spacing: float, v: float):
     State 0 couples to every band level with the single constant ``v``;
     band levels do not couple to each other.
     """
-    if not v > 0:
-        raise ParameterError(f"coupling v must be positive, got {v!r}")
-    spec = ModelSpec.custom_continuum(eps0=eps0, d=d, n_levels=n, spacing=spacing, v=v)
-    spec.validate()
-    dim = n + 1
-    h = np.zeros((dim, dim), dtype=np.float64)
-    h[0, 0] = eps0
-    grid = continuum_grid(n, spacing, d)
-    h[np.arange(1, dim), np.arange(1, dim)] = grid
-    h[0, 1:] = v
-    h[1:, 0] = v
-    return h, HermitianMatrix.basis_state(dim, 0)
+    return build(ModelSpec.custom_continuum(eps0=eps0, d=d, n_levels=n, spacing=spacing, v=v))
 
 
 def build(spec: ModelSpec):
-    """Dispatch to the matching builder. Returns (h, rho0)."""
-    spec.validate()
-    if spec.kind is ModelKind.TWO_LEVEL:
-        return build_two_level(spec.eps0, spec.eps1, spec.v)
-    return build_continuum(spec.eps0, spec.d, spec.n_levels, spec.spacing, spec.v)
+    """Hamiltonian and |0><0| initial state of a spec. Returns (h, rho0).
+
+    Level energies sit on the diagonal and state 0 couples to every other
+    level with ``v``, which must be positive (a zero coupling is only
+    meaningful for the closed-form predictors).
+    """
+    if not spec.v > 0:
+        raise ParameterError(f"coupling v must be positive, got {spec.v!r}")
+    h = np.diag(level_energies(spec))
+    h[0, 1:] = spec.v
+    h[1:, 0] = spec.v
+    return h, HermitianMatrix.basis_state(spec.dim, 0)

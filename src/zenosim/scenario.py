@@ -14,7 +14,6 @@ spec produce bit-identical trajectories.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,18 +42,16 @@ __all__ = [
     "classify_effect",
 ]
 
+# most rows a run may hold; all stay in memory until the CSV is written
+MAX_ROWS = 100_000
+# longest run: models.MAX_ENERGY keeps eigenvalues below ~3.3e4, so every
+# phase (eigenvalue x time) stays finite
+MAX_TIME = 1e300
+
+
 # |t_grid - t_intervention| below this counts as the same instant
 def _tie_tol(t: float) -> float:
     return 1e-9 * max(1.0, abs(t))
-
-
-def default_pairs(model: ModelSpec) -> tuple:
-    """Coherences tracked when a spec does not choose: the (1, 0) pair
-    for the two-level system, none individually for band models (their
-    hub coherences are aggregated in the sigma column)."""
-    if model.kind is ModelKind.TWO_LEVEL:
-        return ((1, 0),)
-    return ()
 
 
 @dataclass(frozen=True)
@@ -72,31 +69,40 @@ class ScenarioSpec:
     coherence_pairs: tuple | None = None
 
     def resolved_pairs(self) -> tuple:
+        """The tracked coherences. By default the (1, 0) pair for the
+        two-level system, none individually for band models (their hub
+        coherences are aggregated in the sigma column)."""
         if self.coherence_pairs is None:
-            return default_pairs(self.model)
+            return ((1, 0),) if self.model.kind is ModelKind.TWO_LEVEL else ()
         return tuple((int(j), int(k)) for j, k in self.coherence_pairs)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "ScenarioSpec":
-        self.model.validate()
+        """Check the run and the schedule against the model (run when the
+        spec is built), raising ValidationError with one problem per field."""
         problems = []
-        if not (self.t_final > 0 and math.isfinite(self.t_final)):
-            problems.append(f"t_final must be positive and finite, got {self.t_final!r}")
+        if not 0 < self.t_final <= MAX_TIME:
+            problems.append(("t_final", f"must lie in (0, {MAX_TIME:g}], got {self.t_final!r}"))
         if not 0 < self.sample_dt <= self.t_final:
-            problems.append(
-                f"sample_dt must lie in (0, t_final], got {self.sample_dt!r}"
-            )
-        if not problems and not math.isfinite(self.t_final / self.sample_dt):
-            problems.append(
-                f"t_final / sample_dt overflows for t_final {self.t_final!r} "
-                f"and sample_dt {self.sample_dt!r}"
-            )
+            problems.append(("sample_dt", f"must lie in (0, t_final], got {self.sample_dt!r}"))
+        if not problems:
+            rows = self.t_final / self.sample_dt + 1 + 2 * len(self.schedule)
+            if not rows <= MAX_ROWS:
+                problems.append(("sample_dt", f"gives {rows:.4g} rows, more than {MAX_ROWS}"))
+        if not self.model.v > 0:
+            problems.append(("model.v", f"must be positive to run, got {self.model.v!r}"))
         dim = self.model.dim
         for j, k in self.resolved_pairs():
             if j == k or not (0 <= j < dim and 0 <= k < dim):
-                problems.append(f"coherence pair ({j},{k}) invalid for dim {dim}")
+                problems.append(("coherence_pairs", f"({j},{k}) invalid for dim {dim}"))
+        try:
+            self.schedule.validate(dim=dim, t_final=self.t_final)
+        except ValidationError as exc:
+            problems.extend(exc.problems)
         if problems:
-            raise ValidationError("invalid scenario: " + "; ".join(problems))
-        self.schedule.validate(dim=dim, t_final=self.t_final)
+            raise ValidationError.from_problems("scenario", problems)
         return self
 
 
@@ -161,7 +167,7 @@ def _row_plan(spec: ScenarioSpec):
     slot points at the post row.
     """
     n = int(np.floor(spec.t_final / spec.sample_dt + 1e-9))
-    grid_t = np.arange(n + 1) * spec.sample_dt
+    grid_t = np.arange(n + 1, dtype=np.float64) * spec.sample_dt
     t: list = []
     events: list = []
     grid: list = []
@@ -195,7 +201,6 @@ def run(spec: ScenarioSpec) -> Trajectory:
     from the previous sample, so sampling density cannot change the
     states visited.
     """
-    spec.validate()
     h, rho0 = build(spec.model)
     spectral = eigendecompose(h)
     pairs = spec.resolved_pairs()

@@ -1,9 +1,15 @@
 """Command-line surface: config parsing, exit codes, CSV contract."""
 
+import contextlib
+import copy
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim.cli import main
 
@@ -33,6 +39,29 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "column" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"model": {"kind": "two_level", "v": 1' + "0" * 5000 + "}}",
+        '{"model": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ],
+    ids=["huge-integer", "deep-nesting"],
+)
+def test_unparsable_json_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["predict", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config parse error" in err and "Traceback" not in err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"model": "\xff"}')
+    assert main(["predict", "--config", str(path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
@@ -223,13 +252,54 @@ def test_reproduce_is_deterministic(tmp_path):
         ("model", {"kind": "level_in_continuum", "spacing": float("inf")}, "spacing"),
         ("run", {"t_final": float("inf"), "sample_dt": 0.25}, "t_final"),
         ("run", {"t_final": 1e300, "sample_dt": 1e-300}, "sample_dt"),
+        ("run", {"t_final": 1e300, "sample_dt": 1e280}, "run.sample_dt"),
+        (
+            "model",
+            {"kind": "custom_continuum", "eps0": 0.0, "d": 5.0,
+             "n_levels": 3_000_000_000, "spacing": 0.05, "v": 0.01},
+            "model.n_levels",
+        ),
+        ("model", {"kind": "level_in_continuum", "spacing": 10**400}, "model.spacing"),
+        ("interventions", [{"time": 2.0, "kind": "measure"}], "interventions[0].time"),
+        ("interventions", [{"time": 1.0, "kind": "sign_flip", "target": 5}],
+         "interventions[0].target"),
+        ("output", {"coherence_pairs": [[0, 7]]}, "output.coherence_pairs"),
+        ("model", {"kind": "two_level", "v": 0.0}, "model.v"),
+        ("model", {"kind": "two_level", "v": -0.1}, "model.v"),
+        ("model", {"kind": "two_level", "eps0": 1e300}, "model.eps0"),
+        ("model", {"kind": "two_level", "d": 5.0}, "model.d"),
+        ("model", {"kind": "custom_continuum", "eps0": 0.0, "d": 1.0, "n_levels": 50,
+                   "spacing": 0.1, "v": 0.01}, "model.spacing"),
+        ("model", {"kind": "level_in_continuum", "n_levels": 1}, "model.n_levels"),
+        ("model", {"kind": "level_in_continuum", "n_levels": 2.5}, "model.n_levels"),
     ],
 )
 def test_non_finite_inputs_exit_3(tmp_path, capsys, section, values, field):
+    """Bad values exit 3 with a problem that starts with its dotted config path."""
+    path = field if field.startswith(section) else f"{section}.{field}"
     doc = base_config(tmp_path, **{section: values})
-    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 3
-    err = capsys.readouterr().err
-    assert field in err and "Traceback" not in err
+    config = write_config(tmp_path, doc)
+    for command in ("simulate", "predict"):
+        assert main([command, "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert f"invalid config: {path} " in err or f"; {path} " in err, err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "t_final, sample_dt",
+    [(1e20, 100_000_000_000_000_000), (1e300, 10**299)],
+    ids=["int64", "beyond-int64"],
+)
+def test_integer_sample_dt_matches_float(tmp_path, t_final, sample_dt):
+    """A JSON integer gives the same time grid as the equal float."""
+    outputs = []
+    for name, dt in (("int", sample_dt), ("float", float(sample_dt))):
+        doc = base_config(tmp_path, run={"t_final": t_final, "sample_dt": dt}, interventions=[])
+        out = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_reproduce_write_failure_exits_3(tmp_path, capsys):
@@ -239,3 +309,95 @@ def test_reproduce_write_failure_exits_3(tmp_path, capsys):
     assert main(["reproduce", "--figure", "fig2", "--out-dir", str(out_dir)]) == 3
     err = capsys.readouterr().err
     assert "cannot write" in err and str(out_dir) in err
+
+
+# what a fuzzed field may hold in place of a good value: bad numbers, wrong
+# JSON types, out-of-range targets and pairs, unknown kinds, or nothing
+_ABSENT = object()
+_BAD = [
+    float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e300, 3_000_000_000, 10**400,
+    2.5, 5, None, True, "1", [], {}, [[0, 7]], [[0, 0]], [[0, 1, 2]], "reset", _ABSENT,
+]
+_FIELDS = {
+    "model": ["kind", "v", "eps0", "eps1", "d", "n_levels", "spacing", "extra"],
+    "run": ["t_final", "sample_dt", "extra"],
+    "interventions": ["time", "kind", "target", "extra"],
+    "output": ["path", "coherence_pairs", "extra"],
+}
+# a dotted config path, or a whole section that is missing or of the wrong type
+_CONFIG_PATH = re.compile(r"\b(model|run|interventions|output)(\.\w|\[\d+\]| must| section)")
+
+
+@st.composite
+def config_documents(draw):
+    """A valid config of a few hundred rows at most, then up to three faults."""
+    kind = draw(st.sampled_from(
+        ["two_level", "level_in_continuum", "level_outside_continuum", "custom_continuum"]
+    ))
+    model = {"kind": kind, "v": draw(st.sampled_from([0.2, 0.01])), "eps0": 0.0}
+    if kind == "two_level":
+        model["eps1"] = 0.2
+    else:
+        model.update(d=5.0, n_levels=draw(st.sampled_from([2, 4, 8])), spacing=0.05)
+    times = sorted(draw(st.sets(st.sampled_from([0.25, 0.5, 0.75]), max_size=3)))
+    doc = {
+        "model": model,
+        "run": {"t_final": 1.0, "sample_dt": draw(st.sampled_from([0.25, 0.01]))},
+        "interventions": [
+            {"time": t, "kind": draw(st.sampled_from(["measure", "sign_flip"])),
+             "target": draw(st.sampled_from([0, 1]))}
+            for t in times
+        ],
+        "output": {"path": "out.csv"},
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        section = draw(st.sampled_from(sorted(_FIELDS)))
+        value = draw(st.sampled_from(_BAD))
+        if isinstance(value, (list, dict)):
+            value = copy.deepcopy(value)  # never share a container between fields
+        if draw(st.integers(0, 4)) == 0:  # the whole section
+            doc[section] = value
+            continue
+        targets = doc.get(section)
+        if isinstance(targets, dict):
+            targets = [targets]
+        if not isinstance(targets, list) or not targets:
+            continue
+        obj = draw(st.sampled_from(targets))
+        if isinstance(obj, dict):
+            obj[draw(st.sampled_from(_FIELDS[section]))] = value
+    model = doc.get("model")
+    named_band = ("level_in_continuum", "level_outside_continuum")
+    if isinstance(model, dict) and model.get("kind") in named_band:
+        if model.get("n_levels", _ABSENT) is _ABSENT:
+            model["n_levels"] = 8  # the 200-level default would run slowly
+    return _strip(doc)
+
+
+def _strip(value):
+    if isinstance(value, dict):
+        return {k: _strip(v) for k, v in value.items() if v is not _ABSENT}
+    if isinstance(value, list):
+        return [_strip(v) for v in value if v is not _ABSENT]
+    return value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=config_documents())
+def test_fuzzed_configs_exit_cleanly(tmp_path_factory, doc):
+    """Any config runs or fails with a documented code, never a traceback,
+    and every validation failure names the config path of its problem."""
+    work = tmp_path_factory.mktemp("fuzz")
+    if isinstance(doc.get("output"), dict) and "path" in doc["output"]:
+        if isinstance(doc["output"]["path"], str):
+            doc["output"]["path"] = str(work / doc["output"]["path"])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["simulate", "--config", write_config(work, doc)])
+    err = err.getvalue()
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err
+    if code == 3:
+        problems = err.removeprefix("error: ").removeprefix("invalid config: ").split("; ")
+        for problem in problems:
+            assert _CONFIG_PATH.search(problem), err

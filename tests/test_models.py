@@ -96,15 +96,15 @@ def test_continuum_coupling_row_structure():
 
 
 def test_span_wider_than_band_rejected():
-    spec = ModelSpec.custom_continuum(eps0=0.0, d=1.0, n_levels=50, spacing=0.1, v=0.01)
     with pytest.raises(ParameterError) as err:
+        spec = ModelSpec.custom_continuum(eps0=0.0, d=1.0, n_levels=50, spacing=0.1, v=0.01)
         spec.validate()
     assert "span" in str(err.value)
 
 
 def test_two_level_spec_requires_eps1():
-    spec = ModelSpec(kind=ModelKind.TWO_LEVEL, v=0.2, eps0=-0.2)
     with pytest.raises(ParameterError):
+        spec = ModelSpec(kind=ModelKind.TWO_LEVEL, v=0.2, eps0=-0.2)
         spec.validate()
 
 
@@ -114,6 +114,7 @@ def test_two_level_spec_requires_eps1():
         dict(d=-1.0),
         dict(n_levels=1),
         dict(spacing=0.0),
+        dict(n_levels=2.5),
     ],
 )
 def test_band_parameter_gates(kwargs):

@@ -96,7 +96,7 @@ def test_evolve_zero_time_is_identity(two_level):
 def test_evolve_rejects_wrong_dimension(two_level):
     _, _, spectral = two_level
     with pytest.raises(ValidationError):
-        evolve(HermitianMatrix.zeros(3), spectral, 1.0)
+        evolve(HermitianMatrix(np.zeros((3, 3))), spectral, 1.0)
 
 
 def test_liouville_rhs_initial_value(two_level):

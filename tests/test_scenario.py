@@ -236,23 +236,25 @@ def test_classify_window_gates():
 
 
 def test_scenario_validation_collects_problems():
-    spec = ScenarioSpec(
-        model=ModelSpec.two_level(),
-        t_final=-1.0,
-        sample_dt=0.0,
-        coherence_pairs=((0, 0),),
-    )
     with pytest.raises(ValidationError) as err:
+        spec = ScenarioSpec(
+            model=ModelSpec.two_level(),
+            t_final=-1.0,
+            sample_dt=0.0,
+            schedule=InterventionSchedule((Intervention(0.0, InterventionKind.MEASURE),)),
+            coherence_pairs=((0, 0),),
+        )
         spec.validate()
     msg = str(err.value)
     assert "t_final" in msg and "sample_dt" in msg and "pair" in msg
+    assert "schedule[0].time" in msg
 
 
 def test_scenario_rejects_intervention_at_horizon():
-    spec = two_level_scenario(
-        schedule=[Intervention(3.0, InterventionKind.MEASURE)]
-    )
     with pytest.raises(ValidationError):
+        spec = two_level_scenario(
+            schedule=[Intervention(3.0, InterventionKind.MEASURE)]
+        )
         spec.validate()
 
 
