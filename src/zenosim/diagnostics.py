@@ -22,6 +22,7 @@ from .propagator import eigendecompose, evolve
 __all__ = [
     "sigma",
     "record_observables",
+    "factor_observables",
     "validate_observables",
     "population_rate_residual",
     "coherence_rate",
@@ -57,6 +58,48 @@ def record_observables(rho, h, pairs=()) -> tuple:
         np.sum(np.abs(m) ** 2),
         # tr(H rho) without the O(n^3) product; H is real symmetric
         np.sum(hm * np.real(m)),
+    )
+
+
+def factor_observables(xr, xi, w, h, pairs=()) -> tuple:
+    """The rows of `record_observables` for factored states, as columns.
+
+    Row r is the state rho_r = X_r diag(w) X_r^H, with X_r = xr[:, r, :]
+    + i xi[:, r, :] as `propagator.evolve_factor` yields it. Returns
+    ``(populations, sigma, coherences, trace, purity, energy)`` with one
+    entry (or row) per state; nothing of size n x n is formed.
+
+    Purity is sum_c (w_c |x_c|^2)^2, exact while the columns of X stay
+    orthogonal, which unitary evolution keeps. Energy is read from the
+    diagonal and row 0 of rho, so H may couple levels only to state 0,
+    as every model here does.
+
+    Raises
+    ------
+    ValidationError
+        If H couples two levels other than state 0.
+    """
+    hm = np.real(as_matrix(h))
+    band = hm[1:, 1:]
+    if np.count_nonzero(band) != np.count_nonzero(np.diagonal(band)):
+        raise ValidationError("factored energy needs H to couple levels only to state 0")
+    sq = xr**2
+    sq += xi**2
+    populations = (sq @ w).T
+    # rho_0j = sum_c w_c X_0c conj(X_jc)
+    ur, ui = w * xr[0], w * xi[0]
+    row0_re = np.einsum("jrc,rc->rj", xr, ur) + np.einsum("jrc,rc->rj", xi, ui)
+    row0_im = np.einsum("jrc,rc->rj", xr, ui) - np.einsum("jrc,rc->rj", xi, ur)
+    coherences = np.empty((populations.shape[0], len(pairs)), dtype=np.complex128)
+    for p, (j, k) in enumerate(pairs):
+        coherences[:, p] = ((xr[j] + 1j * xi[j]) * w * (xr[k] - 1j * xi[k])).sum(axis=1)
+    return (
+        populations,
+        row0_im[:, 1:].sum(axis=1),
+        coherences,
+        populations.sum(axis=1),
+        ((sq.sum(axis=0) * w) ** 2).sum(axis=1),
+        populations @ np.diagonal(hm) + 2.0 * (row0_re[:, 1:] @ hm[0, 1:]),
     )
 
 

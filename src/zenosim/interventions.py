@@ -84,7 +84,9 @@ class InterventionSchedule:
                 problems.append(
                     (f"{path}.time", f"{item.time!r} is not before t_final {t_final!r}")
                 )
-            if dim is not None and not 0 <= item.target < dim:
+            if isinstance(item.target, bool) or not isinstance(item.target, (int, np.integer)):
+                problems.append((f"{path}.target", f"{item.target!r} is not an integer"))
+            elif dim is not None and not 0 <= item.target < dim:
                 problems.append((f"{path}.target", f"{item.target} outside [0, {dim})"))
         if problems:
             raise ValidationError.from_problems("schedule", problems)

@@ -2,9 +2,11 @@
 
 The equation of motion is i drho/dt = [H, rho] with H constant, so the
 exact solution is rho(t) = exp(-iHt) rho exp(+iHt). `evolve` applies it
-through one eigendecomposition of H; `rk4_evolve` integrates the same
-equation step by step and exists purely as a cross-check, so it shares
-no code path with the spectral route.
+to a full matrix through one eigendecomposition of H; `evolve_factor`
+applies it to a factored state rho = X diag(w) X^H for many times at
+once, which is how `scenario.run` fills a trajectory. `rk4_evolve`
+integrates the same equation step by step and exists purely as a
+cross-check, so it shares no code path with the spectral route.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from .core import (
     as_matrix,
 )
 
-__all__ = ["eigendecompose", "evolve", "liouville_rhs", "rk4_evolve"]
+__all__ = ["eigendecompose", "evolve", "evolve_factor", "liouville_rhs", "rk4_evolve"]
 
 SYMMETRY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
+# entries of each real (n, rows, m) array `evolve_factor` builds per block
+BLOCK_ENTRIES = 1 << 14
 
 
 def eigendecompose(h) -> SpectralData:
@@ -85,6 +89,45 @@ def evolve(rho, spectral: SpectralData, t: float) -> HermitianMatrix:
     out = vec @ rt @ vec.T
     out = 0.5 * (out + out.conj().T)
     return HermitianMatrix._wrap(out)
+
+
+def evolve_factor(xr, xi, spectral: SpectralData, times):
+    """Propagate the columns of X = xr + i xi to each of ``times``.
+
+    X(t) = V (exp(-i lam t) o V^T X): every column evolves as a pure
+    state, so rho = X diag(w) X^H evolves for any weights w. All
+    arithmetic is real, so no complex n x n temporary is built.
+
+    Parameters
+    ----------
+    xr, xi : ndarray, shape (n, m)
+        Real and imaginary parts of X.
+    times : ndarray, shape (rows,)
+        Propagation times.
+
+    Yields
+    ------
+    (first, xr_t, xi_t)
+        Consecutive blocks: ``xr_t[j, r, c]`` is the real part of entry
+        ``(j, c)`` of X at ``times[first + r]``. A block holds at most
+        `BLOCK_ENTRIES` entries per array, but never less than one row,
+        so one GEMM pair covers many rows of a pure state and one row of
+        a mixed state.
+    """
+    vec, lam = spectral.eigenvectors, spectral.eigenvalues
+    n, m = xr.shape
+    if n != spectral.dim:
+        raise ValidationError(f"factor with {n} rows does not match a {spectral.dim}-level system")
+    yr, yi = (vec.T @ xr)[:, None, :], (vec.T @ xi)[:, None, :]
+    step = max(1, BLOCK_ENTRIES // (n * m))
+    for first in range(0, len(times), step):
+        # exp(-i lam t) = c - i s, so (c - i s)(yr + i yi) = (c yr + s yi) + i (c yi - s yr)
+        phase = np.multiply.outer(lam, times[first : first + step])[:, :, None]
+        c, s = np.cos(phase), np.sin(phase)
+        shape = (n, phase.shape[1], m)
+        zr = vec @ (c * yr + s * yi).reshape(n, -1)
+        zi = vec @ (c * yi - s * yr).reshape(n, -1)
+        yield first, zr.reshape(shape), zi.reshape(shape)
 
 
 def liouville_rhs(h, rho) -> np.ndarray:

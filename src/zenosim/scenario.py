@@ -2,11 +2,17 @@
 
 A run propagates exactly between scheduled interventions, reusing one
 eigendecomposition for the whole trajectory, and samples observables on
-a uniform grid. Interventions are instantaneous: each contributes a
-pre row and a post row at the same time stamp, with equal populations
-and (possibly) different coherences. When an intervention lands
-exactly on a grid point, the intervention applies first, the grid
-sample is the post row, and the pre row sits just before it.
+a uniform grid. Between two interventions the state is one unitary
+image of the segment's start state, so it is carried as weighted state
+vectors, rho = X diag(w) X^H, and every sample of a segment comes from
+`evolve_factor` without forming an n x n matrix. Interventions are
+instantaneous: each contributes a pre row and a post row at the same
+time stamp, with equal populations and (possibly) different
+coherences. Both are built from full density matrices (`evolve`, then
+`apply_intervention`), and the pre row cross-checks the factored state.
+When an intervention lands exactly on a grid point, the intervention
+applies first, the grid sample is the post row, and the pre row sits
+just before it.
 
 The pipeline is deterministic end to end; repeated runs of the same
 spec produce bit-identical trajectories.
@@ -14,22 +20,21 @@ spec produce bit-identical trajectories.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ValidationError
-from .diagnostics import record_observables, validate_observables
+from .core import ValidationError, as_matrix
+from .diagnostics import factor_observables, record_observables, validate_observables
 from .interventions import (
     InterventionKind,
     InterventionSchedule,
     apply_intervention,
 )
 from .models import ModelKind, ModelSpec, build
-from .propagator import eigendecompose, evolve
+from .propagator import eigendecompose, evolve, evolve_factor
 
 __all__ = [
     "ScenarioSpec",
@@ -47,6 +52,8 @@ MAX_ROWS = 100_000
 # longest run: models.MAX_ENERGY keeps eigenvalues below ~3.3e4, so every
 # phase (eigenvalue x time) stays finite
 MAX_TIME = 1e300
+# max |populations| gap between the factored state and `evolve` at a pre row
+CROSS_CHECK_TOL = 1e-12
 
 
 # |t_grid - t_intervention| below this counts as the same instant
@@ -194,66 +201,90 @@ def _row_plan(spec: ScenarioSpec):
     return np.array(t, dtype=np.float64), events, np.array(grid), markers
 
 
+def _diagonal_factor(rho):
+    """X and w of a diagonal state: the unit columns of its nonzero populations."""
+    w = np.real(np.diagonal(as_matrix(rho)))
+    keep = np.flatnonzero(w)
+    xr = np.zeros((w.size, keep.size))
+    xr[keep, np.arange(keep.size)] = 1.0
+    return xr, np.zeros_like(xr), w[keep]
+
+
 def run(spec: ScenarioSpec) -> Trajectory:
     """Execute one scenario.
 
-    Sampling always evolves from the most recent segment start, never
-    from the previous sample, so sampling density cannot change the
-    states visited.
+    Between interventions the state is carried as rho = X diag(w) X^H
+    and its rows come from `evolve_factor` and `factor_observables`:
+    X starts as one column (the initial |0><0|), a measurement resets it
+    to unit columns weighted by the measured populations, and a flip
+    negates row ``target`` of X. Each pre row is instead `evolve` of the
+    previous post-intervention matrix, and its populations must match
+    the factored state's within `CROSS_CHECK_TOL`; each post row is
+    `apply_intervention`'s result. Every row evolves from its segment
+    start, never from the previous sample, so sampling density cannot
+    change the states visited.
     """
-    h, rho0 = build(spec.model)
+    h, state = build(spec.model)
     spectral = eigendecompose(h)
     pairs = spec.resolved_pairs()
     t, events, grid, markers = _row_plan(spec)
 
     rows = t.size
-    populations = np.empty((rows, spec.model.dim))
-    sigma = np.empty(rows)
-    coherences = np.empty((rows, len(pairs)), dtype=np.complex128)
-    trace = np.empty(rows)
-    purity = np.empty(rows)
-    energy = np.empty(rows)
-
-    interventions = {m.post: item for m, item in zip(markers, spec.schedule)}
-    seg_rho, seg_t = rho0, 0.0
-    for r in range(rows):
-        item = interventions.get(r)
-        if item is None:
-            state = evolve(seg_rho, spectral, t[r] - seg_t)
-        else:
-            # the previous row is the pre state at the same instant
-            state = seg_rho = apply_intervention(state, item)
-            seg_t = t[r]
-        row = record_observables(state, h, pairs)
-        populations[r], sigma[r], coherences[r], trace[r], purity[r], energy[r] = row
-
-    validate_observables(populations, trace, purity)
-    return Trajectory(
-        spec=spec,
-        t=t,
-        events=events,
-        populations=populations,
-        sigma=sigma,
-        coherences=coherences,
-        trace=trace,
-        purity=purity,
-        energy=energy,
-        grid=grid,
-        markers=markers,
+    columns = (
+        np.empty((rows, spec.model.dim)),  # populations
+        np.empty(rows),  # sigma
+        np.empty((rows, len(pairs)), dtype=np.complex128),  # coherences
+        np.empty(rows),  # trace
+        np.empty(rows),  # purity
+        np.empty(rows),  # energy
     )
+    populations = columns[0]
+
+    def put(r, row) -> None:
+        for column, value in zip(columns, row):
+            column[r] = value
+
+    # a segment starts at t = 0 or at a post row; its factored rows run
+    # up to and including the next pre row, which `evolve` then overwrites
+    seg_t, first = 0.0, 0
+    xr, xi, w = _diagonal_factor(state)  # build starts every model in |0><0|
+    for marker, item in zip([*markers, None], [*spec.schedule, None]):
+        last = rows - 1 if marker is None else marker.pre
+        for k, xr, xi in evolve_factor(xr, xi, spectral, t[first : last + 1] - seg_t):
+            put(slice(first + k, first + k + xr.shape[1]), factor_observables(xr, xi, w, h, pairs))
+        if marker is None:
+            break
+        if item.kind is InterventionKind.SIGN_FLIP:
+            # U = 1 - 2|s><s| negates row s of X at the pre row
+            sign = np.where(np.arange(xr.shape[0]) == item.target, -1.0, 1.0)[:, None]
+            xr, xi = xr[:, -1] * sign, xi[:, -1] * sign
+        else:
+            xr = xi = None  # release the last block; the measurement resets X
+        pre = evolve(state, spectral, marker.time - seg_t)
+        row = record_observables(pre, h, pairs)
+        drift = float(np.max(np.abs(row[0] - populations[last])))
+        if drift > CROSS_CHECK_TOL:
+            raise ValidationError(
+                f"factored populations differ from evolve by {drift:.3e} in row {last}"
+            )
+        put(last, row)
+        state = apply_intervention(pre, item)
+        put(marker.post, record_observables(state, h, pairs))
+        if item.kind is InterventionKind.MEASURE:
+            xr, xi, w = _diagonal_factor(state)
+        seg_t, first = marker.time, marker.post + 1
+
+    validate_observables(populations, columns[3], columns[4])
+    return Trajectory(spec, t, events, *columns, grid=grid, markers=markers)
 
 
 def run_batch(specs, max_workers: int | None = None) -> list:
-    """Run independent scenarios concurrently, preserving input order.
+    """Run scenarios one after another in the calling thread, in input order.
 
-    Each run owns all of its state, so results are identical to running
-    sequentially, regardless of worker count.
+    ``max_workers`` is accepted and ignored: on two cores a thread pool
+    made a batch of small runs slower than running them in order.
     """
-    specs = list(specs)
-    if not specs:
-        return []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run, specs))
+    return [run(spec) for spec in specs]
 
 
 class Effect(str, Enum):

@@ -6,6 +6,7 @@ import pytest
 from zenosim.core import HermitianMatrix, UnsupportedPairError, ValidationError
 from zenosim.diagnostics import (
     coherence_rate,
+    factor_observables,
     population_rate_residual,
     record_observables,
     sigma,
@@ -178,3 +179,28 @@ def test_observable_record_validation():
         )
     assert "purity 1.5" in str(err.value) and "row 1" in str(err.value)
     validate_observables(np.array([[0.5, 0.5]]), np.array([1.0]), np.array([0.5]))
+
+
+def test_factor_observables_match_record_observables(in_band):
+    """Three rows of a random mixed factor against the full matrices."""
+    h, _, _ = in_band
+    rng = np.random.default_rng(3)
+    n, pairs = h.shape[0], ((0, 5), (7, 2), (1, 0))
+    q, _ = np.linalg.qr(rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)))
+    blocks = np.stack([q * np.exp(1j * k) for k in range(3)], axis=1)  # (n, rows, m)
+    w = np.array([0.5, 0.3, 0.15, 0.05])
+    got = factor_observables(blocks.real, blocks.imag, w, h, pairs)
+    for r in range(3):
+        x = blocks[:, r]
+        want = record_observables((x * w) @ x.conj().T, h, pairs)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a[r], b, rtol=0, atol=1e-14)
+
+
+def test_factor_observables_need_a_hub_hamiltonian():
+    h = np.diag([0.0, 1.0, 2.0])
+    h[1, 2] = h[2, 1] = 0.1
+    x = np.zeros((3, 1, 1))
+    x[0] = 1.0
+    with pytest.raises(ValidationError, match="only to state 0"):
+        factor_observables(x, np.zeros_like(x), np.ones(1), h)

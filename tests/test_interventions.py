@@ -154,5 +154,18 @@ def test_schedule_rejects_target_out_of_range():
         sched.validate(dim=3)
 
 
+@pytest.mark.parametrize("target", [0.5, 1.0, True, "1", None])
+def test_schedule_rejects_non_integer_target(target):
+    sched = InterventionSchedule((Intervention(1.0, InterventionKind.SIGN_FLIP, target),))
+    with pytest.raises(ValidationError) as err:
+        sched.validate(dim=3)
+    assert err.value.problems == (("schedule[0].target", f"{target!r} is not an integer"),)
+
+
+@pytest.mark.parametrize("target", [1, np.int64(1), np.uint8(1)])
+def test_schedule_accepts_integer_target(target):
+    InterventionSchedule((Intervention(1.0, InterventionKind.SIGN_FLIP, target),)).validate(dim=3)
+
+
 def test_empty_schedule_is_valid():
     InterventionSchedule().validate(dim=2, t_final=1.0)

@@ -10,7 +10,13 @@ import pytest
 
 from zenosim.core import HermitianMatrix, ParameterError, ValidationError
 from zenosim.models import ModelSpec, build, build_two_level
-from zenosim.propagator import eigendecompose, evolve, liouville_rhs, rk4_evolve
+from zenosim.propagator import (
+    eigendecompose,
+    evolve,
+    evolve_factor,
+    liouville_rhs,
+    rk4_evolve,
+)
 
 OMEGA = 0.2 * np.sqrt(2.0)  # Rabi frequency of the default two-level system
 T_HALF = np.pi / (2.0 * OMEGA)  # first time rho_00 reaches 1/2
@@ -180,3 +186,32 @@ def test_rk4_parameter_gates(two_level):
         rk4_evolve(rho0, h, -1.0)
     with pytest.raises(ParameterError):
         rk4_evolve(rho0, h, 1.0, dt=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 3, 201])
+def test_evolve_factor_matches_evolve(m):
+    """Pure (one column) and mixed factors, across several blocks."""
+    h, _ = build(ModelSpec.level_outside_continuum())
+    spectral = eigendecompose(h)
+    rng = np.random.default_rng(m)
+    x, _ = np.linalg.qr(rng.standard_normal((201, m)) + 1j * rng.standard_normal((201, m)))
+    w = rng.random(m)
+    w /= w.sum()
+    rho = HermitianMatrix((x * w) @ x.conj().T)
+    # 170 pure rows fill three blocks; 201 columns take one row per block
+    times = np.linspace(0.0, 3.0, 170 if m == 1 else 3)
+    seen = 0
+    for first, xr, xi in evolve_factor(x.real, x.imag, spectral, times):
+        assert first == seen
+        for r in range(0, xr.shape[1], 7):
+            xt = xr[:, r] + 1j * xi[:, r]
+            want = evolve(rho, spectral, times[first + r]).as_array()
+            np.testing.assert_allclose((xt * w) @ xt.conj().T, want, rtol=0, atol=1e-13)
+        seen += xr.shape[1]
+    assert seen == times.size
+
+
+def test_evolve_factor_rejects_wrong_dimension(two_level):
+    _, _, spectral = two_level
+    with pytest.raises(ValidationError):
+        next(evolve_factor(np.ones((3, 1)), np.zeros((3, 1)), spectral, np.zeros(1)))

@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zenosim.core import ValidationError
-from zenosim.interventions import Intervention, InterventionKind, InterventionSchedule
-from zenosim.models import ModelSpec
+from zenosim import scenario
+from zenosim.core import HermitianMatrix, ValidationError
+from zenosim.diagnostics import record_observables
+from zenosim.interventions import (
+    Intervention,
+    InterventionKind,
+    InterventionSchedule,
+    apply_intervention,
+)
+from zenosim.models import ModelKind, ModelSpec, build
+from zenosim.propagator import eigendecompose, evolve, rk4_evolve
 from zenosim.scenario import (
     Effect,
     ScenarioSpec,
@@ -19,9 +27,9 @@ from zenosim.scenario import (
 OMEGA = 0.2 * np.sqrt(2.0)
 
 
-def two_level_scenario(t_final=3.0, dt=0.25, schedule=()):
+def two_level_scenario(t_final=3.0, dt=0.25, schedule=(), model=None):
     return ScenarioSpec(
-        model=ModelSpec.two_level(),
+        model=model or ModelSpec.two_level(),
         t_final=t_final,
         sample_dt=dt,
         schedule=InterventionSchedule(tuple(schedule)),
@@ -102,9 +110,27 @@ def test_flip_marker_negates_sigma_exactly():
 
 
 @st.composite
-def grids_and_schedules(draw):
-    """A two-level scenario whose interventions land on grid points or
-    clearly between them."""
+def band_models(draw):
+    """Small bands, coupled strongly enough that every level moves."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.floats(0.5, 2.0))
+    factory = draw(
+        st.sampled_from([ModelSpec.level_in_continuum, ModelSpec.level_outside_continuum])
+    )
+    return factory(
+        eps0=draw(st.floats(-2.0, 2.0)),
+        d=d,
+        n_levels=n,
+        spacing=draw(st.floats(0.1, 1.0)) * 2 * d / (n - 1),
+        v=draw(st.floats(0.05, 0.5)),
+    )
+
+
+@st.composite
+def grids_and_schedules(draw, models=st.just(ModelSpec.two_level())):
+    """A scenario whose interventions land on grid points or clearly
+    between them."""
+    model = draw(models)
     dt = draw(st.floats(min_value=0.05, max_value=0.7))
     t_final = draw(st.floats(min_value=dt, max_value=3.0))
     n = int(np.floor(t_final / dt + 1e-9))
@@ -115,8 +141,9 @@ def grids_and_schedules(draw):
     off_grid = {x for x in off_grid if abs(x - round(x / dt) * dt) > 1e-6}
     times = sorted(t for t in on_grid | off_grid if t < t_final)
     kinds = st.sampled_from(list(InterventionKind))
+    targets = st.integers(0, model.dim - 1)
     return two_level_scenario(
-        t_final, dt, [Intervention(t, draw(kinds), draw(st.integers(0, 1))) for t in times]
+        t_final, dt, [Intervention(t, draw(kinds), draw(targets)) for t in times], model
     )
 
 
@@ -143,6 +170,79 @@ def test_row_plan_places_grid_and_intervention_rows(spec):
     marker_rows = {r for m in traj.markers for r in (m.pre, m.post)}
     assert set(traj.grid.tolist()) | marker_rows == set(range(traj.t.size))
     np.testing.assert_array_equal(traj.grid_population(0), traj.populations[traj.grid, 0])
+
+
+def reference_columns(traj):
+    """The run's rows the slow way: `evolve` of the segment start
+    matrix for every row, then `record_observables`."""
+    spec = traj.spec
+    h, seg = build(spec.model)
+    spectral = eigendecompose(h)
+    posts = {m.post: item for m, item in zip(traj.markers, spec.schedule)}
+    seg_t, state, rows = 0.0, seg, []
+    for r, t in enumerate(traj.t):
+        if r in posts:
+            state = seg = apply_intervention(state, posts[r])
+            seg_t = t
+        else:
+            state = evolve(seg, spectral, t - seg_t)
+        rows.append(record_observables(state, h, spec.resolved_pairs()))
+    return [np.array(column) for column in zip(*rows)]
+
+
+def rk4_final_state(spec, t_end):
+    h, rho = build(spec.model)
+    seg_t = 0.0
+    for item in spec.schedule:
+        rho = apply_intervention(rk4_evolve(rho, h, item.time - seg_t), item)
+        seg_t = item.time
+    return rk4_evolve(rho, h, t_end - seg_t)
+
+
+M, F = InterventionKind.MEASURE, InterventionKind.SIGN_FLIP
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(grids_and_schedules(st.one_of(st.just(ModelSpec.two_level()), band_models())))
+@example(two_level_scenario(3.0, 0.25, [Intervention(1.0, M), Intervention(1.5, F, 1)]))
+@example(
+    two_level_scenario(
+        2.0,
+        0.1,
+        [Intervention(0.33, M), Intervention(0.7, F, 4), Intervention(1.2, F, 0)],
+        ModelSpec.level_in_continuum(eps0=0.1, d=1.0, n_levels=8, spacing=0.25, v=0.3),
+    )
+)
+def test_run_matches_per_row_evolve_and_rk4(spec):
+    """A flip after a measurement leaves a mixed state with coherences,
+    which only a full factor X (not a diagonal shortcut) carries."""
+    traj = run(spec)
+    names = ["populations", "sigma", "coherences", "trace", "purity", "energy"]
+    for name, want in zip(names, reference_columns(traj)):
+        got = getattr(traj, name)
+        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12, err_msg=name)
+    h, _ = build(spec.model)
+    final = record_observables(rk4_final_state(spec, traj.t[-1]), h, spec.resolved_pairs())
+    tol = 1e-12 if spec.model.kind is ModelKind.TWO_LEVEL else 1e-8
+    np.testing.assert_allclose(traj.populations[-1], final[0], rtol=0, atol=tol)
+    np.testing.assert_allclose(traj.sigma[-1], final[1], rtol=0, atol=tol)
+
+
+def test_cross_check_names_the_row_that_drifts(monkeypatch):
+    """`run` compares its factored populations with `evolve` at every
+    pre row; a 1e-9 drift there must stop the run."""
+    exact = scenario.evolve
+
+    def drifting(rho, spectral, t):
+        m = exact(rho, spectral, t).as_array()
+        m[0, 0] += 1e-9
+        m[1, 1] -= 1e-9
+        return HermitianMatrix(m)
+
+    monkeypatch.setattr(scenario, "evolve", drifting)
+    spec = two_level_scenario(schedule=[Intervention(1.1, M), Intervention(2.0, F, 1)])
+    with pytest.raises(ValidationError, match=r"by 1\.0\d*e-09 in row 5$"):
+        run(spec)
 
 
 def test_sampling_density_does_not_change_states():
