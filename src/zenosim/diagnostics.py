@@ -49,7 +49,7 @@ def record_observables(rho, h, pairs=()) -> tuple:
     chosen ``pairs``; the summed sigma column is always present.
     """
     m = as_matrix(rho)
-    hm = np.real(as_matrix(h))
+    hm = np.real(np.asarray(h))
     return (
         np.real(np.diagonal(m)),
         sigma(m),
@@ -79,7 +79,7 @@ def factor_observables(xr, xi, w, h, pairs=()) -> tuple:
     ValidationError
         If H couples two levels other than state 0.
     """
-    hm = np.real(as_matrix(h))
+    hm = np.real(np.asarray(h))
     band = hm[1:, 1:]
     if np.count_nonzero(band) != np.count_nonzero(np.diagonal(band)):
         raise ValidationError("factored energy needs H to couple levels only to state 0")
@@ -141,7 +141,7 @@ def population_rate_residual(rho, h, j: int, spectral: SpectralData | None = Non
     every valid state.
     """
     m = as_matrix(rho)
-    hm = np.real(as_matrix(h))
+    hm = np.real(np.asarray(h))
     if spectral is None:
         spectral = eigendecompose(hm)
     ahead = evolve(m, spectral, FD_STEP)
@@ -170,7 +170,7 @@ def coherence_rate(rho, h, j: int, k: int) -> tuple[float, float]:
         If j == k, or the pair is uncoupled with neither index 0.
     """
     m = as_matrix(rho)
-    hm = np.real(as_matrix(h))
+    hm = np.real(np.asarray(h))
     if j == k:
         raise UnsupportedPairError(f"({j},{k}) is a population, not a coherence")
     if j != 0 and k != 0 and hm[j, k] == 0.0:

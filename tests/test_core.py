@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenosim.core import (
+    POSITIVITY_TOL,
     DimensionMismatchError,
     HermitianMatrix,
     SpectralData,
@@ -65,6 +66,8 @@ def test_constructor_rejects_visible_asymmetry():
 def test_constructor_rejects_nonsquare():
     with pytest.raises(DimensionMismatchError):
         HermitianMatrix(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        HermitianMatrix(np.zeros((0, 0)))
 
 
 def test_factories():
@@ -107,6 +110,27 @@ def test_random_densities_pass_validation(seed, dim):
     rho.validate_density()
     assert rho.purity() <= 1.0 + 1e-12
     assert rho.eigenvalues()[0] >= -1e-12
+
+
+@pytest.mark.parametrize("dim", [3, 201])
+@pytest.mark.parametrize("lowest", [-2e-10, -1.2e-10, -0.8e-10, -0.5e-10, 0.0])
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_positivity_gate_sits_at_its_tolerance(dim, lowest, seed):
+    """rho = Q diag(lam) Q^H with a random unitary Q and trace 1 is
+    rejected exactly when its smallest eigenvalue is below -1e-10."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    rest = rng.random(dim - 1) + 0.5
+    lam = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+    rho = HermitianMatrix((q * lam) @ q.conj().T)
+    rejected = rho.eigenvalues()[0] < -POSITIVITY_TOL
+    assert rejected == (lowest < -1e-10)
+    if rejected:
+        with pytest.raises(ValidationError, match="smallest eigenvalue"):
+            rho.validate_density()
+    else:
+        rho.validate_density()
 
 
 def test_as_matrix_shares_storage_with_hermitian():

@@ -7,6 +7,7 @@ can be checked at arbitrary times.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from zenosim.core import HermitianMatrix, ParameterError, ValidationError
 from zenosim.models import ModelSpec, build, build_two_level
@@ -165,6 +166,27 @@ def test_rk4_matches_spectral_on_band_models(spec):
     got = rk4_evolve(rho0, h, 1.0, dt=1e-3)
     want = evolve(rho0, eigendecompose(h), 1.0)
     np.testing.assert_allclose(got.as_array(), want.as_array(), atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec.two_level(), ModelSpec.level_in_continuum(), ModelSpec.level_outside_continuum()],
+    ids=["two_level", "in_band", "outside_band"],
+)
+def test_evolve_matches_matrix_exponential(spec):
+    """U rho U^H with U = expm(-iHt) shares no code with eigh; full-rank
+    and rank-two complex mixed states, forwards and backwards."""
+    h, _ = build(spec)
+    spectral = eigendecompose(h)
+    rng = np.random.default_rng(h.shape[0])
+    for rank in (h.shape[0], 2):
+        a = rng.standard_normal((h.shape[0], rank)) + 1j * rng.standard_normal((h.shape[0], rank))
+        rho = a @ a.conj().T
+        rho /= np.real(np.trace(rho))
+        for t in (0.37, 3.0, -1.2, 120.0):
+            u = scipy.linalg.expm(-1j * h * t)
+            got = evolve(rho, spectral, t).as_array()
+            np.testing.assert_allclose(got, u @ rho @ u.conj().T, rtol=0, atol=1e-12)
 
 
 def test_rk4_remainder_only_step(two_level):
