@@ -73,10 +73,11 @@ def main():
     h, rho0 = build(TWO)
     spectral = eigendecompose(h)
     state = evolve(rho0, spectral, 1.0)
-    pops = state.populations()
-    p1 = pop_from_coherence_1st(state.get(1, 0), -0.4, 0.2, 1.0)
+    m = np.asarray(state)
+    pops = np.real(np.diagonal(m))
+    p1 = pop_from_coherence_1st(m[1, 0], -0.4, 0.2, 1.0)
     p2 = pop_from_pop_2nd(pops[1] - pops[0], -0.4, 0.2, 1.0)
-    exact = evolve(state, spectral, 1.0).get(0, 0).real - pops[0]
+    exact = np.asarray(evolve(state, spectral, 1.0))[0, 0].real - pops[0]
     print(f"  coherence-fed first order:  {p1:+.6f}")
     print(f"  population-fed second order: {p2:+.6f}")
     print(f"  sum {p1 + p2:+.6f} vs exact increment {exact:+.6f}"
@@ -87,7 +88,7 @@ def main():
     print()
 
     print("-- second-order survival vs exact (fresh start) --")
-    exact_p = evolve(rho0, spectral, 1.0).get(0, 0).real
+    exact_p = np.asarray(evolve(rho0, spectral, 1.0))[0, 0].real
     pert_p = rho00_perturbative(TWO, 1.0)
     print(f"  t = 1: exact {exact_p:.10f}, perturbative {pert_p:.10f}"
           f" (gap {abs(exact_p - pert_p):.2e})")

@@ -39,8 +39,6 @@ from .models import (
     ModelKind,
     ModelSpec,
     build,
-    build_continuum,
-    build_two_level,
     continuum_grid,
     level_energies,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "ModelKind",
     "ModelSpec",
     "continuum_grid",
-    "build_two_level",
-    "build_continuum",
     "build",
     "level_energies",
     "eigendecompose",

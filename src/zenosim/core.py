@@ -85,34 +85,39 @@ class HermitianMatrix:
 
     Parameters
     ----------
-    entries : array_like
-        Square matrix, Hermitian within ``1e-12`` (max abs entry of
-        ``A - A^H``). The stored copy is symmetrized to ``(A + A^H)/2``
-        so later arithmetic cannot drift off the Hermitian manifold.
+    entries : HermitianMatrix or array_like
+        An instance, whose storage is shared (see Notes), or a square
+        matrix Hermitian within ``1e-12`` (max abs entry of ``A - A^H``).
+        The stored copy is symmetrized to ``(A + A^H)/2`` so later
+        arithmetic cannot drift off the Hermitian manifold.
 
     Raises
     ------
     DimensionMismatchError
         If ``entries`` is not a square 2-d array of at least 1 x 1.
     ValidationError
-        If the Hermiticity residual exceeds the tolerance.
+        If the Hermiticity residual exceeds the tolerance or is NaN.
 
     Notes
     -----
-    Instances are intended as values: build, then share; no method
-    mutates the entries.
+    Instances are values: no method mutates the entries, and each was
+    checked here or built exactly Hermitian by `_wrap`. So this is the
+    one Hermiticity gate, and passing an instance through it again is free.
     """
 
     __slots__ = ("_m",)
 
     def __init__(self, entries):
+        if isinstance(entries, HermitianMatrix):
+            self._m = entries._m
+            return
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise DimensionMismatchError(
                 f"expected a non-empty square matrix, got shape {m.shape}"
             )
         residual = float(np.max(np.abs(m - m.conj().T)))
-        if residual > HERMITICITY_TOL:
+        if not residual <= HERMITICITY_TOL:
             raise ValidationError(
                 f"matrix is not Hermitian: max |A - A^H| = {residual:.3e} "
                 f"exceeds {HERMITICITY_TOL:.0e}"
@@ -141,31 +146,13 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self._m.shape[0]
 
-    def get(self, j: int, k: int) -> complex:
-        return complex(self._m[j, k])
-
-    def as_array(self) -> np.ndarray:
-        """Defensive copy of the entries."""
-        return self._m.copy()
-
     def __array__(self, dtype=None, copy=None):
         m = self._m
         return m.astype(dtype) if dtype is not None else m.copy()
 
-    def trace(self) -> float:
-        # diagonal is exactly real after symmetrization
-        return float(np.real(np.trace(self._m)))
-
-    def purity(self) -> float:
-        """tr(rho^2), computed as the squared Frobenius norm."""
-        return float(np.sum(np.abs(self._m) ** 2))
-
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in ascending order."""
         return np.linalg.eigvalsh(self._m)
-
-    def populations(self) -> np.ndarray:
-        return np.real(np.diagonal(self._m)).copy()
 
     def validate_density(self) -> "HermitianMatrix":
         """Check trace, positivity and purity gates for a density matrix.
@@ -182,18 +169,18 @@ class HermitianMatrix:
         ValidationError
             Listing every violated gate.
         """
-        problems = []
-        tr = self.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        m, problems = self._m, []
+        tr = float(np.real(np.trace(m)))
+        if not abs(tr - 1.0) <= TRACE_TOL:
             problems.append(f"trace = {tr!r} differs from 1 by more than {TRACE_TOL:.0e}")
-        shifted = self._m.copy()
+        shifted = m.copy()
         shifted.flat[:: self.dim + 1] += POSITIVITY_TOL
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             lowest = float(self.eigenvalues()[0])
             problems.append(f"smallest eigenvalue {lowest!r} below -{POSITIVITY_TOL:.0e}")
-        pur = self.purity()
+        pur = float(np.sum(np.abs(m) ** 2))  # tr(rho^2) as the squared Frobenius norm
         lo = 1.0 / self.dim - PURITY_TOL
         if not lo <= pur <= 1.0 + PURITY_TOL:
             problems.append(f"purity {pur!r} outside [1/dim, 1]")
@@ -230,7 +217,7 @@ class SpectralData:
             )
         gram = vec.T @ vec
         residual = float(np.max(np.abs(gram - np.eye(lam.size))))
-        if residual > ORTHONORMALITY_TOL:
+        if not residual <= ORTHONORMALITY_TOL:
             raise ValidationError(
                 f"eigenvector matrix is not orthonormal: max |V^T V - I| = {residual:.3e}"
             )

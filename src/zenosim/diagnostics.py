@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    HermitianMatrix,
     SpectralData,
     UnsupportedPairError,
     ValidationError,
@@ -117,7 +118,7 @@ def validate_observables(populations, trace, purity) -> None:
     """
     dim = populations.shape[1]
     problems = []
-    bad_sum = np.flatnonzero(np.abs(populations.sum(axis=1) - trace) > 1e-10)
+    bad_sum = np.flatnonzero(~(np.abs(populations.sum(axis=1) - trace) <= 1e-10))
     if bad_sum.size:
         problems.append(f"populations do not sum to the trace in row {bad_sum[0]}")
     ok = (purity >= 1.0 / dim - 1e-10) & (purity <= 1.0 + 1e-10)
@@ -140,13 +141,14 @@ def population_rate_residual(rho, h, j: int, spectral: SpectralData | None = Non
     Returns the absolute residual; the contract is residual < 1e-5 for
     every valid state.
     """
+    rho = HermitianMatrix(rho)
     m = as_matrix(rho)
     hm = np.real(np.asarray(h))
     if spectral is None:
         spectral = eigendecompose(hm)
-    ahead = evolve(m, spectral, FD_STEP)
-    behind = evolve(m, spectral, -FD_STEP)
-    fd = (ahead.get(j, j).real - behind.get(j, j).real) / (2.0 * FD_STEP)
+    ahead = as_matrix(evolve(rho, spectral, FD_STEP))
+    behind = as_matrix(evolve(rho, spectral, -FD_STEP))
+    fd = (ahead[j, j].real - behind[j, j].real) / (2.0 * FD_STEP)
     formula = 2.0 * float(hm[j] @ np.imag(m[:, j]))
     return abs(fd - formula)
 

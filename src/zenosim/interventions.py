@@ -99,8 +99,7 @@ def measure_dephase(rho) -> HermitianMatrix:
     Idempotent; preserves the trace exactly and never increases purity.
     The input must be a valid density matrix.
     """
-    m = as_matrix(rho)
-    HermitianMatrix(m).validate_density()
+    m = as_matrix(HermitianMatrix(rho).validate_density())
     out = np.zeros_like(m)
     np.fill_diagonal(out, np.real(np.diagonal(m)))
     return HermitianMatrix._wrap(out)
@@ -113,12 +112,10 @@ def sign_flip(rho, target: int) -> HermitianMatrix:
     the spectrum are untouched. Involutive, and exact in floating point
     because it only flips signs.
     """
-    m = as_matrix(rho)
-    dim = m.shape[0]
-    if not 0 <= target < dim:
-        raise ParameterError(f"flip target {target} outside [0, {dim})")
-    HermitianMatrix(m).validate_density()
-    out = m.copy()
+    state = HermitianMatrix(rho)
+    if not 0 <= target < state.dim:
+        raise ParameterError(f"flip target {target} outside [0, {state.dim})")
+    out = as_matrix(state.validate_density()).copy()
     out[target, :] *= -1.0
     out[:, target] *= -1.0  # (target, target) is negated twice, so it survives
     return HermitianMatrix._wrap(out)

@@ -27,8 +27,6 @@ __all__ = [
     "ModelKind",
     "ModelSpec",
     "continuum_grid",
-    "build_two_level",
-    "build_continuum",
     "build",
     "level_energies",
 ]
@@ -58,9 +56,7 @@ class ModelSpec:
     kind : ModelKind
     v : float
         Coupling between state 0 and every other level, hartree. Must be
-        nonnegative; the matrix builders additionally require ``v > 0``
-        (a zero coupling is only meaningful for the closed-form
-        predictors).
+        nonnegative; `build` additionally requires ``v > 0``.
     eps0 : float
         Energy of the distinguished level, hartree.
     eps1 : float, optional
@@ -180,27 +176,6 @@ def level_energies(spec: ModelSpec) -> np.ndarray:
         return np.array([spec.eps0, spec.eps1], dtype=np.float64)
     grid = continuum_grid(spec.n_levels, spec.spacing, spec.d)
     return np.concatenate(([spec.eps0], grid))
-
-
-def build_two_level(eps0: float = -0.2, eps1: float = 0.2, v: float = 0.2):
-    """Two-level Hamiltonian and the |0><0| initial state.
-
-    Returns
-    -------
-    h : ndarray
-        [[eps0, v], [v, eps1]], real symmetric.
-    rho0 : HermitianMatrix
-    """
-    return build(ModelSpec.two_level(eps0=eps0, eps1=eps1, v=v))
-
-
-def build_continuum(eps0: float, d: float, n: int, spacing: float, v: float):
-    """Level-plus-band Hamiltonian and the |0><0| initial state.
-
-    State 0 couples to every band level with the single constant ``v``;
-    band levels do not couple to each other.
-    """
-    return build(ModelSpec.custom_continuum(eps0=eps0, d=d, n_levels=n, spacing=spacing, v=v))
 
 
 def build(spec: ModelSpec):

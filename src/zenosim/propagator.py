@@ -50,7 +50,7 @@ def eigendecompose(h) -> SpectralData:
         raise ValidationError(f"expected a square matrix, got shape {hm.shape}")
     imag = float(np.max(np.abs(hm.imag))) if hm.size else 0.0
     asym = float(np.max(np.abs(hm - hm.T))) if hm.size else 0.0
-    if imag > SYMMETRY_TOL or asym > SYMMETRY_TOL:
+    if not (imag <= SYMMETRY_TOL and asym <= SYMMETRY_TOL):
         raise ValidationError(
             f"Hamiltonian must be real symmetric: max |Im| = {imag:.3e}, "
             f"max |H - H^T| = {asym:.3e}"
@@ -61,7 +61,7 @@ def eigendecompose(h) -> SpectralData:
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"eigendecomposition failed to converge: {exc}") from exc
     residual = float(np.max(np.abs((vec * lam) @ vec.T - hr)))
-    if residual > RECONSTRUCTION_TOL:
+    if not residual <= RECONSTRUCTION_TOL:
         raise ValidationError(
             f"eigendecomposition reconstruction residual {residual:.3e} "
             f"exceeds {RECONSTRUCTION_TOL:.0e}"
@@ -72,13 +72,16 @@ def eigendecompose(h) -> SpectralData:
 def evolve(rho, spectral: SpectralData, t: float) -> HermitianMatrix:
     """Propagate rho by time t under the decomposed Hamiltonian.
 
-    Negative t runs the dynamics backwards. V is real, so each of the
+    ``rho`` passes the `HermitianMatrix` gate; t must be finite, and a
+    negative t runs the dynamics backwards. V is real, so each of the
     four products with V or V^T is one real GEMM on the float64 view of
     a complex matrix: half the flops of a complex product. The result is
     symmetrized once, which only removes roundoff: the map is exactly
     Hermiticity-preserving in exact arithmetic.
     """
-    rm = as_matrix(rho)
+    if not -np.inf < t < np.inf:
+        raise ParameterError(f"evolution time must be finite, got {t!r}")
+    rm = as_matrix(HermitianMatrix(rho))
     vec = spectral.eigenvectors
     if rm.shape != (spectral.dim, spectral.dim):
         raise ValidationError(
@@ -170,8 +173,8 @@ def rk4_evolve(rho, h, t: float, dt: float = 1e-3) -> HermitianMatrix:
     constructor; accumulated roundoff asymmetry beyond 1e-12 would fail
     there and signal a broken integration.
     """
-    if t < 0:
-        raise ParameterError(f"rk4 horizon must be nonnegative, got {t!r}")
+    if not 0 <= t < np.inf:
+        raise ParameterError(f"rk4 horizon must be finite and nonnegative, got {t!r}")
     if not dt > 0:
         raise ParameterError(f"rk4 step must be positive, got {dt!r}")
     hm = as_matrix(h)

@@ -263,7 +263,7 @@ def run(spec: ScenarioSpec) -> Trajectory:
         pre = evolve(state, spectral, marker.time - seg_t)
         row = record_observables(pre, h, pairs)
         drift = float(np.max(np.abs(row[0] - populations[last])))
-        if drift > CROSS_CHECK_TOL:
+        if not drift <= CROSS_CHECK_TOL:
             raise ValidationError(
                 f"factored populations differ from evolve by {drift:.3e} in row {last}"
             )

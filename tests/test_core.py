@@ -53,14 +53,24 @@ def test_commutator_antihermitian_imaginary_diagonal():
 
 def test_constructor_tolerates_tiny_asymmetry():
     m = np.array([[1.0, 0.5 + 1e-13j], [0.5, 0.0]])
-    hm = HermitianMatrix(m)
-    np.testing.assert_allclose(hm.as_array(), hm.as_array().conj().T, atol=0)
+    a = np.asarray(HermitianMatrix(m))
+    np.testing.assert_allclose(a, a.conj().T, atol=0)
 
 
 def test_constructor_rejects_visible_asymmetry():
     m = np.array([[1.0, 0.5 + 1e-9j], [0.5, 0.0]])
     with pytest.raises(ValidationError):
         HermitianMatrix(m)
+
+
+def test_constructor_rejects_nan():
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        HermitianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_constructor_shares_a_checked_instance():
+    hm = HermitianMatrix(np.array([[0.7, 0.2j], [-0.2j, 0.3]]))
+    assert as_matrix(HermitianMatrix(hm)) is as_matrix(hm)
 
 
 def test_constructor_rejects_nonsquare():
@@ -71,18 +81,18 @@ def test_constructor_rejects_nonsquare():
 
 
 def test_factories():
-    b = HermitianMatrix.basis_state(3, 1)
-    np.testing.assert_array_equal(b.populations(), [0.0, 1.0, 0.0])
-    d = HermitianMatrix(np.diag([0.5, 0.3, 0.2]))
-    assert d.trace() == pytest.approx(1.0)
-    np.testing.assert_allclose(d.purity(), 0.25 + 0.09 + 0.04)
+    b = np.asarray(HermitianMatrix.basis_state(3, 1))
+    np.testing.assert_array_equal(np.real(np.diagonal(b)), [0.0, 1.0, 0.0])
+    d = np.asarray(HermitianMatrix(np.diag([0.5, 0.3, 0.2])))
+    assert np.real(np.trace(d)) == pytest.approx(1.0)
+    np.testing.assert_allclose(np.sum(np.abs(d) ** 2), 0.25 + 0.09 + 0.04)
 
 
 def test_trace_and_purity_on_mixed_state():
-    rho = HermitianMatrix(np.array([[0.7, 0.2j], [-0.2j, 0.3]]))
-    np.testing.assert_allclose(rho.trace(), 1.0)
+    rho = np.asarray(HermitianMatrix(np.array([[0.7, 0.2j], [-0.2j, 0.3]])))
+    np.testing.assert_allclose(np.real(np.trace(rho)), 1.0)
     # tr rho^2 = 0.49 + 0.09 + 2 * 0.04
-    np.testing.assert_allclose(rho.purity(), 0.66)
+    np.testing.assert_allclose(np.sum(np.abs(rho) ** 2), 0.66)
 
 
 def test_eigenvalues_of_two_level_hamiltonian():
@@ -99,6 +109,13 @@ def test_validate_density_lists_all_violations():
     assert "trace" in msg and "purity" in msg
 
 
+def test_validate_density_rejects_nan_trace():
+    # the constructor rejects NaN, so only an unchecked internal value can carry one
+    bad = HermitianMatrix._wrap(np.diag([np.nan, 0.0]).astype(np.complex128))
+    with pytest.raises(ValidationError, match="trace = nan"):
+        bad.validate_density()
+
+
 def test_validate_density_accepts_pure_state():
     HermitianMatrix.basis_state(5, 2).validate_density()
 
@@ -108,7 +125,7 @@ def test_validate_density_accepts_pure_state():
 def test_random_densities_pass_validation(seed, dim):
     rho = HermitianMatrix(random_density(np.random.default_rng(seed), dim))
     rho.validate_density()
-    assert rho.purity() <= 1.0 + 1e-12
+    assert np.sum(np.abs(np.asarray(rho)) ** 2) <= 1.0 + 1e-12
     assert rho.eigenvalues()[0] >= -1e-12
 
 
@@ -144,12 +161,17 @@ def test_array_protocol_copies():
     hm = HermitianMatrix.basis_state(2, 0)
     arr = np.asarray(hm)
     arr[0, 0] = 5.0
-    assert hm.get(0, 0) == 1.0
+    assert np.asarray(hm)[0, 0] == 1.0
 
 
 def test_spectral_data_rejects_non_orthonormal_vectors():
     with pytest.raises(ValidationError):
         SpectralData(eigenvalues=np.array([1.0, 2.0]), eigenvectors=np.full((2, 2), 0.9))
+
+
+def test_spectral_data_rejects_nan_vectors():
+    with pytest.raises(ValidationError, match="not orthonormal"):
+        SpectralData(eigenvalues=np.array([1.0, 2.0]), eigenvectors=np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_spectral_data_shape_mismatch():

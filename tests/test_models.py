@@ -8,31 +8,29 @@ from zenosim.models import (
     ModelKind,
     ModelSpec,
     build,
-    build_continuum,
-    build_two_level,
     continuum_grid,
     level_energies,
 )
 
 
 def test_two_level_matrix():
-    h, rho0 = build_two_level()
+    h, rho0 = build(ModelSpec.two_level())
     np.testing.assert_array_equal(h, [[-0.2, 0.2], [0.2, 0.2]])
-    np.testing.assert_array_equal(rho0.populations(), [1.0, 0.0])
+    np.testing.assert_array_equal(np.real(np.diagonal(np.asarray(rho0))), [1.0, 0.0])
 
 
 def test_symmetric_two_level_eigenvalues_are_plus_minus_v():
     # eps0 = eps1 = 0: the coupling alone sets the splitting
-    h, _ = build_two_level(eps0=0.0, eps1=0.0, v=0.3)
+    h, _ = build(ModelSpec.two_level(eps0=0.0, eps1=0.0, v=0.3))
     np.testing.assert_allclose(np.linalg.eigvalsh(h), [-0.3, 0.3], atol=1e-15)
 
 
 @pytest.mark.parametrize("v", [0.0, -0.1])
 def test_builders_reject_nonpositive_coupling(v):
     with pytest.raises(ParameterError):
-        build_two_level(v=v)
+        build(ModelSpec.two_level(v=v))
     with pytest.raises(ParameterError):
-        build_continuum(eps0=0.0, d=5.0, n=200, spacing=0.05, v=v)
+        build(ModelSpec.custom_continuum(eps0=0.0, d=5.0, n_levels=200, spacing=0.05, v=v))
 
 
 def test_zero_coupling_spec_validates_but_does_not_build():
@@ -74,7 +72,7 @@ def test_level_outside_continuum_gap():
 
 def test_small_band_hamiltonian_layout():
     # n = 2, spacing = 2d puts the band levels at -d and +d exactly
-    h, rho0 = build_continuum(eps0=1.5, d=5.0, n=2, spacing=10.0, v=0.3)
+    h, rho0 = build(ModelSpec.custom_continuum(eps0=1.5, d=5.0, n_levels=2, spacing=10.0, v=0.3))
     want = np.array(
         [
             [1.5, 0.3, 0.3],
@@ -83,11 +81,11 @@ def test_small_band_hamiltonian_layout():
         ]
     )
     np.testing.assert_array_equal(h, want)
-    np.testing.assert_array_equal(rho0.populations(), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(np.real(np.diagonal(np.asarray(rho0))), [1.0, 0.0, 0.0])
 
 
 def test_continuum_coupling_row_structure():
-    h, _ = build_continuum(eps0=0.0, d=5.0, n=200, spacing=0.05, v=0.01)
+    h, _ = build(ModelSpec.custom_continuum(eps0=0.0, d=5.0, n_levels=200, spacing=0.05, v=0.01))
     assert h.shape == (201, 201)
     np.testing.assert_array_equal(h[0, 1:], 0.01)
     np.testing.assert_array_equal(h[1:, 0], 0.01)
@@ -129,8 +127,11 @@ def test_level_energies_two_level():
 
 
 def test_build_dispatch_matches_direct_builders():
+    # a named kind builds the same matrix as its parameters spelled out
     ha, _ = build(ModelSpec.two_level())
-    hb, _ = build_two_level()
+    hb, _ = build(ModelSpec(kind=ModelKind.TWO_LEVEL, v=0.2, eps0=-0.2, eps1=0.2))
     np.testing.assert_array_equal(ha, hb)
     hc, _ = build(ModelSpec.level_outside_continuum())
     assert hc[0, 0] == 5.04
+    hd, _ = build(ModelSpec.custom_continuum(eps0=5.04, d=5.0, n_levels=200, spacing=0.05, v=0.01))
+    np.testing.assert_array_equal(hc, hd)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 from zenosim.core import DegenerateSpectrumError, ParameterError
+from zenosim.diagnostics import record_observables
 from zenosim.models import ModelSpec, build
 from zenosim.perturbation import (
     ChannelInputs,
@@ -61,7 +62,7 @@ def test_first_order_coherence_error_is_cubic_in_coupling():
 
     def error(v):
         h, rho0 = build(ModelSpec.two_level(v=v))
-        exact = evolve(rho0, eigendecompose(h), 1.0).get(1, 0).imag
+        exact = np.asarray(evolve(rho0, eigendecompose(h), 1.0))[1, 0].imag
         return abs(exact - coherence_from_pop_1st(-1.0, 0.4, v, 1.0).imag)
 
     assert error(0.2) < 1.0 * 0.2**3
@@ -92,11 +93,11 @@ def test_restart_channels_compose_across_a_segment():
     h, rho0 = build(TWO)
     spectral = eigendecompose(h)
     state = evolve(rho0, spectral, 1.0)
-    coh = state.get(1, 0)
-    pops = state.populations()
+    coh = np.asarray(state)[1, 0]
+    pops = record_observables(state, h)[0]
     p1 = pop_from_coherence_1st(coh, -0.4, 0.2, 1.0)
     p2 = pop_from_pop_2nd(pops[1] - pops[0], -0.4, 0.2, 1.0)
-    exact_step = evolve(state, spectral, 1.0).get(0, 0).real - pops[0]
+    exact_step = np.asarray(evolve(state, spectral, 1.0))[0, 0].real - pops[0]
     assert abs((p1 + p2) - exact_step) < 4e-3
     assert abs(p1 - exact_step) > 0.03  # single channels miss badly
     assert abs(p2 - exact_step) > 0.06
@@ -223,7 +224,7 @@ def test_survival_error_bounded_by_cubic_envelope(spec, c, times):
     h, rho0 = build(spec)
     spectral = eigendecompose(h)
     for t in times:
-        exact = evolve(rho0, spectral, t).get(0, 0).real
+        exact = np.asarray(evolve(rho0, spectral, t))[0, 0].real
         gap = abs(exact - rho00_perturbative(spec, t))
         assert gap <= c * (spec.v * t) ** 3, f"t={t}: gap {gap}"
 

@@ -234,7 +234,7 @@ def test_cross_check_names_the_row_that_drifts(monkeypatch):
     exact = scenario.evolve
 
     def drifting(rho, spectral, t):
-        m = exact(rho, spectral, t).as_array()
+        m = np.asarray(exact(rho, spectral, t))
         m[0, 0] += 1e-9
         m[1, 1] -= 1e-9
         return HermitianMatrix(m)
