@@ -40,7 +40,7 @@ from .models import (
     ModelSpec,
     build,
     continuum_grid,
-    level_energies,
+    hub,
 )
 from .perturbation import (
     ChannelInputs,
@@ -80,8 +80,8 @@ __all__ = [
     "ModelKind",
     "ModelSpec",
     "continuum_grid",
+    "hub",
     "build",
-    "level_energies",
     "eigendecompose",
     "evolve",
     "liouville_rhs",

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    HermitianMatrix,
-    SpectralData,
-    UnsupportedPairError,
-    ValidationError,
-    as_matrix,
-)
+from .core import HermitianMatrix, SpectralData, UnsupportedPairError, ValidationError, as_matrix
 from .propagator import eigendecompose, evolve
 
 __all__ = [
@@ -42,27 +36,27 @@ def sigma(rho) -> float:
     return float(np.sum(np.imag(m[0, 1:])))
 
 
-def record_observables(rho, h, pairs=()) -> tuple:
+def record_observables(rho, eps, c, pairs=()) -> tuple:
     """One trajectory row: every per-state scalar the CSV schema carries.
 
     Returns ``(populations, sigma, coherences, trace, purity, energy)``,
     where ``coherences`` lists the complex entries rho[j, k] for the
-    chosen ``pairs``; the summed sigma column is always present.
+    chosen ``pairs``; H enters as its hub form ``(eps, c)`` (`models.hub`).
     """
     m = as_matrix(rho)
-    hm = np.real(np.asarray(h))
+    populations = np.real(np.diagonal(m))
     return (
-        np.real(np.diagonal(m)),
+        populations,
         sigma(m),
         [m[j, k] for j, k in pairs],
         np.real(np.trace(m)),
         np.sum(np.abs(m) ** 2),
-        # tr(H rho) without the O(n^3) product; H is real symmetric
-        np.sum(hm * np.real(m)),
+        # tr(H rho) = eps . P + 2 c . Re rho[0, :], O(n) for a hub H
+        populations @ eps + 2.0 * (np.real(m[0]) @ c),
     )
 
 
-def factor_observables(xr, xi, w, h, pairs=()) -> tuple:
+def factor_observables(xr, xi, w, eps, c, pairs=()) -> tuple:
     """The rows of `record_observables` for factored states, as columns.
 
     Row r is the state rho_r = X_r diag(w) X_r^H, with X_r = xr[:, r, :]
@@ -72,18 +66,8 @@ def factor_observables(xr, xi, w, h, pairs=()) -> tuple:
 
     Purity is sum_c (w_c |x_c|^2)^2, exact while the columns of X stay
     orthogonal, which unitary evolution keeps. Energy is read from the
-    diagonal and row 0 of rho, so H may couple levels only to state 0,
-    as every model here does.
-
-    Raises
-    ------
-    ValidationError
-        If H couples two levels other than state 0.
+    diagonal and row 0 of rho through the hub form ``(eps, c)`` of H.
     """
-    hm = np.real(np.asarray(h))
-    band = hm[1:, 1:]
-    if np.count_nonzero(band) != np.count_nonzero(np.diagonal(band)):
-        raise ValidationError("factored energy needs H to couple levels only to state 0")
     sq = xr**2
     sq += xi**2
     populations = (sq @ w).T
@@ -100,7 +84,7 @@ def factor_observables(xr, xi, w, h, pairs=()) -> tuple:
         coherences,
         populations.sum(axis=1),
         ((sq.sum(axis=0) * w) ** 2).sum(axis=1),
-        populations @ np.diagonal(hm) + 2.0 * (row0_re[:, 1:] @ hm[0, 1:]),
+        populations @ eps + 2.0 * (row0_re @ c),
     )
 
 
@@ -153,10 +137,10 @@ def population_rate_residual(rho, h, j: int, spectral: SpectralData | None = Non
     return abs(fd - formula)
 
 
-def coherence_rate(rho, h, j: int, k: int) -> tuple[float, float]:
+def coherence_rate(rho, eps, c, j: int, k: int) -> tuple[float, float]:
     """Model rates of Re rho_jk and Im rho_jk for a directly coupled pair.
 
-    Implements
+    Implements, with H_jk = c[j + k] for the hub H of ``(eps, c)``,
 
         d Re rho_jk / dt = (eps_j - eps_k) Im rho_jk
         d Im rho_jk / dt = (rho_jj - rho_kk) H_jk - (eps_j - eps_k) Re rho_jk
@@ -169,19 +153,17 @@ def coherence_rate(rho, h, j: int, k: int) -> tuple[float, float]:
     Raises
     ------
     UnsupportedPairError
-        If j == k, or the pair is uncoupled with neither index 0.
+        If j == k, or neither index is 0 (hub levels couple only to 0).
     """
     m = as_matrix(rho)
-    hm = np.real(np.asarray(h))
     if j == k:
         raise UnsupportedPairError(f"({j},{k}) is a population, not a coherence")
-    if j != 0 and k != 0 and hm[j, k] == 0.0:
+    if j != 0 and k != 0:
         raise UnsupportedPairError(
             f"pair ({j},{k}) has no direct coupling; the rate formula does not apply"
         )
-    deps = float(hm[j, j] - hm[k, k])
+    deps = float(eps[j] - eps[k])
     d_re = deps * float(np.imag(m[j, k]))
-    d_im = float((np.real(m[j, j]) - np.real(m[k, k])) * hm[j, k]) - deps * float(
-        np.real(m[j, k])
-    )
+    pop_diff = float(np.real(m[j, j]) - np.real(m[k, k]))
+    d_im = pop_diff * float(c[j + k]) - deps * float(np.real(m[j, k]))
     return d_re, d_im

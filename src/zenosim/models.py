@@ -27,8 +27,8 @@ __all__ = [
     "ModelKind",
     "ModelSpec",
     "continuum_grid",
+    "hub",
     "build",
-    "level_energies",
 ]
 
 # overhang tolerance for (n_levels - 1) * spacing <= 2 d
@@ -170,24 +170,28 @@ def continuum_grid(n: int, spacing: float, d: float) -> np.ndarray:
     return d - spacing * np.arange(n - 1, -1, -1, dtype=np.float64)
 
 
-def level_energies(spec: ModelSpec) -> np.ndarray:
-    """All level energies, state 0 first."""
+def hub(spec: ModelSpec):
+    """Hub (arrowhead) form of the Hamiltonian. Returns (eps, c).
+
+    H = diag(eps) + c e_0^T + e_0 c^T: ``eps`` holds the level energies,
+    state 0 first, and ``c[k]`` couples level k to state 0 (``c[0] = 0``).
+    """
     if spec.kind is ModelKind.TWO_LEVEL:
-        return np.array([spec.eps0, spec.eps1], dtype=np.float64)
-    grid = continuum_grid(spec.n_levels, spec.spacing, spec.d)
-    return np.concatenate(([spec.eps0], grid))
+        eps = np.array([spec.eps0, spec.eps1], dtype=np.float64)
+    else:
+        eps = np.concatenate(([spec.eps0], continuum_grid(spec.n_levels, spec.spacing, spec.d)))
+    return eps, np.where(np.arange(eps.size) > 0, float(spec.v), 0.0)
 
 
 def build(spec: ModelSpec):
-    """Hamiltonian and |0><0| initial state of a spec. Returns (h, rho0).
+    """Dense Hamiltonian and |0><0| initial state of a spec. Returns (h, rho0).
 
-    Level energies sit on the diagonal and state 0 couples to every other
-    level with ``v``, which must be positive (a zero coupling is only
-    meaningful for the closed-form predictors).
+    ``h`` writes out `hub`; the coupling ``v`` must be positive (a zero
+    coupling is only meaningful for the closed-form predictors).
     """
     if not spec.v > 0:
         raise ParameterError(f"coupling v must be positive, got {spec.v!r}")
-    h = np.diag(level_energies(spec))
-    h[0, 1:] = spec.v
-    h[1:, 0] = spec.v
+    eps, c = hub(spec)
+    h = np.diag(eps)
+    h[0, 1:] = h[1:, 0] = c[1:]
     return h, HermitianMatrix.basis_state(spec.dim, 0)

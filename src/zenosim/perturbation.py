@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DegenerateSpectrumError, ParameterError
-from .models import ModelSpec, level_energies
+from .models import ModelSpec, hub
 
 __all__ = [
     "ChannelInputs",
@@ -69,14 +69,14 @@ class ChannelInputs:
             raise ParameterError(
                 f"delta_rho of shape {dr.shape} does not match delta_eps of shape {de.shape}"
             )
-        if dr.size and (np.min(dr) < -1.0 - 1e-12 or np.max(dr) > 1.0 + 1e-12):
+        if not np.all(np.abs(dr) <= 1.0 + 1e-12):
             raise ParameterError("delta_rho entries must lie in [-1, 1]")
 
 
 def channel_inputs(spec: ModelSpec, populations, t: float | None = None) -> ChannelInputs:
     """Build ChannelInputs from a model and a population vector."""
     pops = np.asarray(populations, dtype=np.float64)
-    energies = level_energies(spec)
+    energies = hub(spec)[0]
     if pops.shape != energies.shape:
         raise ParameterError(
             f"{pops.size} populations for a {energies.size}-level model"
@@ -119,9 +119,9 @@ def pop_from_coherence_1st(coh0, delta_eps, v: float, t: float):
         kills this channel, which is the freeze mechanism behind
         repeated measurement.
     """
-    if np.any(np.abs(coh0) > 0.5 + 1e-12):
+    if not np.all(np.abs(coh0) <= 0.5 + 1e-12):
         raise ParameterError(f"|coh0| must not exceed 1/2, got {coh0!r}")
-    if t < 0:
+    if not t >= 0:
         raise ParameterError(f"t must be nonnegative, got {t!r}")
     out = 2.0 * np.imag(np.asarray(coh0) * coupling_integral(delta_eps, v, t))
     return out if out.ndim else float(out)
@@ -134,7 +134,7 @@ def coherence_from_pop_1st(pop_diff, delta_eps, v: float, t: float):
     pop_diff * v * sin(delta_eps t) / delta_eps, is frame independent;
     the real part is reported in the rotating frame of the pair.
     """
-    if np.any(np.abs(pop_diff) > 1.0 + 1e-12):
+    if not np.all(np.abs(pop_diff) <= 1.0 + 1e-12):
         raise ParameterError(f"|pop_diff| must not exceed 1, got {pop_diff!r}")
     out = 1j * np.asarray(pop_diff) * coupling_integral(delta_eps, v, t)
     return out if out.ndim else complex(out)
@@ -149,7 +149,7 @@ def pop_from_pop_2nd(pop_diff, delta_eps, v: float, t: float):
     quadratic in t near t = 0, hence the zero restart slope after any
     coherence-erasing event.
     """
-    if np.any(np.abs(pop_diff) > 1.0 + 1e-12):
+    if not np.all(np.abs(pop_diff) <= 1.0 + 1e-12):
         raise ParameterError(f"|pop_diff| must not exceed 1, got {pop_diff!r}")
     amp = v * t * _sinc(0.5 * np.asarray(delta_eps) * t)
     out = np.asarray(pop_diff) * amp * amp
@@ -163,7 +163,7 @@ def rho00_perturbative(spec: ModelSpec, t: float) -> float:
     and the answer is 1 plus the summed second-order outflow into every
     partner level.
     """
-    energies = level_energies(spec)
+    energies = hub(spec)[0]
     deps = energies[1:] - energies[0]
     return 1.0 + float(np.sum(pop_from_pop_2nd(-1.0, deps, spec.v, t)))
 

@@ -5,8 +5,8 @@ exact solution is rho(t) = exp(-iHt) rho exp(+iHt). `evolve` applies it
 to a full matrix through one eigendecomposition of H; `evolve_factor`
 applies it to a factored state rho = X diag(w) X^H for many times at
 once, which is how `scenario.run` fills a trajectory. `rk4_evolve`
-integrates the same equation step by step and exists purely as a
-cross-check, so it shares no code path with the spectral route.
+steps the same equation through the hub entries of H, never its
+eigenvectors, as a cross-check that shares no code with the spectral route.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ SYMMETRY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
 # entries of each real (n, rows, m) array `evolve_factor` builds per block
 BLOCK_ENTRIES = 1 << 14
+# finite times lie in [-FLOAT_MAX, FLOAT_MAX]; a huge int compares exactly and fails
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def eigendecompose(h) -> SpectralData:
@@ -79,7 +81,7 @@ def evolve(rho, spectral: SpectralData, t: float) -> HermitianMatrix:
     symmetrized once, which only removes roundoff: the map is exactly
     Hermiticity-preserving in exact arithmetic.
     """
-    if not -np.inf < t < np.inf:
+    if not -FLOAT_MAX <= t <= FLOAT_MAX:
         raise ParameterError(f"evolution time must be finite, got {t!r}")
     rm = as_matrix(HermitianMatrix(rho))
     vec = spectral.eigenvectors
@@ -141,25 +143,34 @@ def evolve_factor(xr, xi, spectral: SpectralData, times):
         yield first, zr.reshape(shape), zi.reshape(shape)
 
 
-def liouville_rhs(h, rho) -> np.ndarray:
-    """-i [H, rho], the right-hand side of the equation of motion."""
-    hm, rm = as_matrix(h), as_matrix(rho)
-    if hm.shape != rm.shape:
-        raise ValidationError(
-            f"shapes {hm.shape} and {rm.shape} do not match"
-        )
-    return -1j * (hm @ rm - rm @ hm)
+def liouville_rhs(eps, c, rho) -> np.ndarray:
+    """-i [H, rho] for the hub H = diag(eps) + c e_0^T + e_0 c^T of `models.hub`.
+
+    O(n^2): (eps_j - eps_k) rho_jk, the rank-two c_j rho_0k - rho_j0 c_k,
+    c @ rho into row 0 and rho @ c out of column 0; rho may be non-Hermitian.
+    """
+    m = as_matrix(rho)
+    if m.shape != (eps.size, eps.size) or c.shape != eps.shape:
+        raise ValidationError(f"state of shape {m.shape} does not match a {eps.size}-level hub")
+    out = np.subtract.outer(eps, eps) * m
+    out += np.multiply.outer(c, m[0])
+    out -= np.multiply.outer(m[:, 0], c)
+    out[0] += c @ m
+    out[:, 0] -= m @ c
+    out *= -1j
+    return out
 
 
-def rk4_evolve(rho, h, t: float, dt: float = 1e-3) -> HermitianMatrix:
+def rk4_evolve(rho, eps, c, t: float, dt: float = 1e-3) -> HermitianMatrix:
     """Integrate the equation of motion with classic fixed-step RK4.
 
     Parameters
     ----------
     rho : HermitianMatrix or array_like
         Initial state.
-    h : array_like
-        Hamiltonian, used directly; no eigendecomposition happens here.
+    eps, c : ndarray
+        Hub form of the Hamiltonian (see `models.hub`), used directly; no
+        eigendecomposition happens here.
     t : float
         Nonnegative integration horizon.
     dt : float
@@ -168,24 +179,25 @@ def rk4_evolve(rho, h, t: float, dt: float = 1e-3) -> HermitianMatrix:
 
     Notes
     -----
-    The RK4 update maps Hermitian matrices to Hermitian matrices in
-    exact arithmetic, so the final state is handed to the validating
-    constructor; accumulated roundoff asymmetry beyond 1e-12 would fail
-    there and signal a broken integration.
+    H is constant, so an RK4 step of length s is exactly the degree-4
+    Taylor polynomial of exp(sL), L = `liouville_rhs`, here in Horner form.
+    It maps Hermitian matrices to Hermitian ones in exact arithmetic, so
+    the final state is handed to the validating constructor, where roundoff
+    asymmetry beyond 1e-12 would fail and signal a broken integration.
     """
-    if not 0 <= t < np.inf:
+    if not 0 <= t <= FLOAT_MAX:
         raise ParameterError(f"rk4 horizon must be finite and nonnegative, got {t!r}")
     if not dt > 0:
         raise ParameterError(f"rk4 step must be positive, got {dt!r}")
-    hm = as_matrix(h)
-    r = as_matrix(rho).copy()
+    r = as_matrix(rho)
 
     def step(m, s):
-        k1 = liouville_rhs(hm, m)
-        k2 = liouville_rhs(hm, m + (0.5 * s) * k1)
-        k3 = liouville_rhs(hm, m + (0.5 * s) * k2)
-        k4 = liouville_rhs(hm, m + s * k3)
-        return m + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out = m  # m + s L (m + s/2 L (m + s/3 L (m + s/4 L m)))
+        for j in (4.0, 3.0, 2.0, 1.0):
+            out = liouville_rhs(eps, c, out)
+            out *= s / j
+            out += m
+        return out
 
     nfull = int(np.floor(t / dt + 1e-9))
     for _ in range(nfull):

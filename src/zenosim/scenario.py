@@ -33,7 +33,7 @@ from .interventions import (
     InterventionSchedule,
     apply_intervention,
 )
-from .models import ModelKind, ModelSpec, build
+from .models import ModelKind, ModelSpec, build, hub
 from .propagator import eigendecompose, evolve, evolve_factor
 
 __all__ = [
@@ -225,7 +225,7 @@ def run(spec: ScenarioSpec) -> Trajectory:
     change the states visited.
     """
     h, state = build(spec.model)
-    spectral = eigendecompose(h)
+    spectral, (eps, c) = eigendecompose(h), hub(spec.model)
     pairs = spec.resolved_pairs()
     t, events, grid, markers = _row_plan(spec)
 
@@ -251,7 +251,8 @@ def run(spec: ScenarioSpec) -> Trajectory:
     for marker, item in zip([*markers, None], [*spec.schedule, None]):
         last = rows - 1 if marker is None else marker.pre
         for k, xr, xi in evolve_factor(xr, xi, spectral, t[first : last + 1] - seg_t):
-            put(slice(first + k, first + k + xr.shape[1]), factor_observables(xr, xi, w, h, pairs))
+            block = factor_observables(xr, xi, w, eps, c, pairs)
+            put(slice(first + k, first + k + xr.shape[1]), block)
         if marker is None:
             break
         if item.kind is InterventionKind.SIGN_FLIP:
@@ -261,7 +262,7 @@ def run(spec: ScenarioSpec) -> Trajectory:
         else:
             xr = xi = None  # release the last block; the measurement resets X
         pre = evolve(state, spectral, marker.time - seg_t)
-        row = record_observables(pre, h, pairs)
+        row = record_observables(pre, eps, c, pairs)
         drift = float(np.max(np.abs(row[0] - populations[last])))
         if not drift <= CROSS_CHECK_TOL:
             raise ValidationError(
@@ -269,7 +270,7 @@ def run(spec: ScenarioSpec) -> Trajectory:
             )
         put(last, row)
         state = apply_intervention(pre, item)
-        put(marker.post, record_observables(state, h, pairs))
+        put(marker.post, record_observables(state, eps, c, pairs))
         if item.kind is InterventionKind.MEASURE:
             xr, xi, w = _diagonal_factor(state)
         seg_t, first = marker.time, marker.post + 1

@@ -19,7 +19,7 @@ from zenosim.interventions import (
     measure_dephase,
     sign_flip,
 )
-from zenosim.models import ModelSpec, build
+from zenosim.models import ModelSpec, build, hub
 from zenosim.perturbation import (
     ChannelInputs,
     channel_inputs,
@@ -86,6 +86,7 @@ def bundle_for(model, t_final, sample_dt, schedules):
     return dict(
         model=model,
         h=h,
+        hub=hub(model),
         spectral=eigendecompose(h),
         specs=specs,
         trajs={name: run(spec) for name, spec in specs.items()},
@@ -365,17 +366,17 @@ def test_criterion_09_invariants_at_random_trajectory_points(two, lic, loc):
     maps_ok = True
     count = 0
     for bundle, per in ((two, 16), (lic, 30), (loc, 20)):
-        h, spectral = bundle["h"], bundle["spectral"]
+        h, eps_c, spectral = bundle["h"], bundle["hub"], bundle["spectral"]
         dim = bundle["model"].dim
         for spec in bundle["specs"].values():
             for t in rng.uniform(0.0, spec.t_final, size=per):
                 state, seg = state_at(spectral, spec, float(t))
                 m = np.asarray(state)
-                pops, _, _, trace, purity, _ = record_observables(state, h)
+                pops, _, _, trace, purity, _ = record_observables(state, *eps_c)
                 worst["trace"] = max(worst["trace"], abs(trace - 1.0))
                 worst["herm"] = max(worst["herm"], float(np.max(np.abs(m - m.conj().T))))
                 worst["purity"] = max(
-                    worst["purity"], abs(purity - record_observables(seg, h)[4])
+                    worst["purity"], abs(purity - record_observables(seg, *eps_c)[4])
                 )
                 worst["pop_rate"] = max(
                     worst["pop_rate"],
@@ -386,7 +387,7 @@ def test_criterion_09_invariants_at_random_trajectory_points(two, lic, loc):
                 )
                 fd = fd_matrix(state, spectral)
                 if dim == 2:
-                    d_re, d_im = coherence_rate(state, h, 1, 0)
+                    d_re, d_im = coherence_rate(state, *eps_c, 1, 0)
                     worst["pair_rate"] = max(
                         worst["pair_rate"],
                         abs(d_re - fd[1, 0].real),
@@ -394,7 +395,7 @@ def test_criterion_09_invariants_at_random_trajectory_points(two, lic, loc):
                     )
                 else:
                     for k in rng.integers(1, dim, size=3):
-                        d_re, d_im = coherence_rate(state, h, 0, int(k))
+                        d_re, d_im = coherence_rate(state, *eps_c, 0, int(k))
                         hub_gap = max(
                             hub_gap,
                             abs(d_re - fd[0, k].real),
@@ -411,8 +412,8 @@ def test_criterion_09_invariants_at_random_trajectory_points(two, lic, loc):
                     and np.array_equal(
                         np.asarray(sign_flip(flipped, target)), np.asarray(state)
                     )
-                    and np.array_equal(record_observables(dephased, h)[0], pops)
-                    and np.array_equal(record_observables(flipped, h)[0], pops)
+                    and np.array_equal(record_observables(dephased, *eps_c)[0], pops)
+                    and np.array_equal(record_observables(flipped, *eps_c)[0], pops)
                 )
                 count += 1
     rep.check(count == 200, f"sampled {count} points instead of 200")

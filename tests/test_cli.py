@@ -216,6 +216,23 @@ def test_predict_trajectory_dimension_mismatch(tmp_path, capsys):
     assert "levels" in capsys.readouterr().err
 
 
+def test_predict_trajectory_rejects_a_nan_population(tmp_path, capsys):
+    doc = base_config(tmp_path, interventions=[])
+    out = tmp_path / "traj.csv"
+    main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    lines = out.read_text(encoding="utf-8").splitlines()
+    row = lines[3].split(",")
+    row[lines[0].split(",").index("rho_00")] = "nan"
+    lines[3] = ",".join(row)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    cfg = write_config(tmp_path, {"model": {"kind": "two_level"}}, name="model.json")
+    assert main(["predict", "--config", cfg, "--trajectory", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "delta_rho" in captured.err and "Traceback" not in captured.err
+    assert "nan" not in captured.out
+
+
 def test_reproduce_unknown_figure_exits_4(tmp_path, capsys):
     assert main(["reproduce", "--figure", "fig99", "--out-dir", str(tmp_path)]) == 4
     assert "fig99" in capsys.readouterr().err

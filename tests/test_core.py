@@ -16,6 +16,7 @@ from zenosim.core import (
 from zenosim.propagator import liouville_rhs
 
 H2 = np.array([[-0.2, 0.2], [0.2, 0.2]])
+EPS2, C2 = np.array([-0.2, 0.2]), np.array([0.0, 0.2])  # H2 in hub form
 
 
 def random_density(rng, dim):
@@ -30,23 +31,23 @@ def test_two_level_hamiltonian_squares_to_scalar():
     np.testing.assert_allclose(H2 @ H2, 0.08 * np.eye(2), atol=1e-15)
 
 
-def commutator(h, rho):
-    # liouville_rhs is -i [H, rho]
-    return 1j * liouville_rhs(h, rho)
+def commutator(eps, c, rho):
+    # liouville_rhs is -i [H, rho] for the hub H = diag(eps) + c e_0^T + e_0 c^T
+    return 1j * liouville_rhs(eps, c, rho)
 
 
 def test_commutator_initial_state():
     rho = HermitianMatrix.basis_state(2, 0)
     want = np.array([[0.0, -0.2], [0.2, 0.0]])
-    np.testing.assert_allclose(commutator(H2, rho), want, atol=1e-15)
+    np.testing.assert_allclose(commutator(EPS2, C2, rho), want, atol=1e-15)
 
 
 def test_commutator_antihermitian_imaginary_diagonal():
     rng = np.random.default_rng(11)
-    h = rng.standard_normal((6, 6))
-    h = h + h.T
+    eps, coupling = rng.standard_normal(6), rng.standard_normal(6)
+    coupling[0] = 0.0
     rho = random_density(rng, 6)
-    c = commutator(h, rho)
+    c = commutator(eps, coupling, rho)
     np.testing.assert_allclose(c, -c.conj().T, atol=1e-13)
     np.testing.assert_allclose(np.real(np.diagonal(c)), 0.0, atol=1e-13)
 

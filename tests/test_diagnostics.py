@@ -13,10 +13,13 @@ from zenosim.diagnostics import (
     validate_observables,
 )
 from zenosim.interventions import measure_dephase, sign_flip
-from zenosim.models import ModelSpec, build
+from zenosim.models import ModelSpec, build, hub
 from zenosim.propagator import eigendecompose, evolve
 
 FD = 1e-6
+# (eps, c) of the two fixtures' Hamiltonians
+HUB2 = hub(ModelSpec.two_level())
+HUB_BAND = hub(ModelSpec.level_in_continuum())
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +91,7 @@ def test_hub_outflow_equals_summed_coherences(in_band):
 
 def test_coherence_rate_initial_state(two_level):
     h, rho0, _ = two_level
-    d_re, d_im = coherence_rate(rho0, h, 0, 1)
+    d_re, d_im = coherence_rate(rho0, *HUB2, 0, 1)
     assert d_re == 0.0
     np.testing.assert_allclose(d_im, 0.2, atol=1e-15)
 
@@ -99,7 +102,7 @@ def test_coherence_rate_matches_derivative_two_level(two_level):
     for t in np.linspace(0.3, 11.7, 20):
         state = evolve(rho0, spectral, t)
         fd = fd_matrix_rate(state, spectral)[1, 0]
-        d_re, d_im = coherence_rate(state, h, 1, 0)
+        d_re, d_im = coherence_rate(state, *HUB2, 1, 0)
         np.testing.assert_allclose(d_re, fd.real, atol=1e-8)
         np.testing.assert_allclose(d_im, fd.imag, atol=1e-8)
 
@@ -107,7 +110,7 @@ def test_coherence_rate_matches_derivative_two_level(two_level):
 def test_coherence_rate_after_dephasing(two_level):
     h, rho0, spectral = two_level
     dephased = measure_dephase(evolve(rho0, spectral, 1.0))
-    d_re, d_im = coherence_rate(dephased, h, 1, 0)
+    d_re, d_im = coherence_rate(dephased, *HUB2, 1, 0)
     assert d_re == 0.0  # no Im left to rotate into Re
     # restart growth rate set purely by the population imbalance
     m = np.asarray(dephased)
@@ -117,8 +120,8 @@ def test_coherence_rate_after_dephasing(two_level):
 def test_coherence_rate_sign_flip_relation(two_level):
     h, rho0, spectral = two_level
     state = evolve(rho0, spectral, 2.1)
-    d_re, d_im = coherence_rate(state, h, 1, 0)
-    f_re, f_im = coherence_rate(sign_flip(state, 0), h, 1, 0)
+    d_re, d_im = coherence_rate(state, *HUB2, 1, 0)
+    f_re, f_im = coherence_rate(sign_flip(state, 0), *HUB2, 1, 0)
     m = np.asarray(state)
     pop_term = (m[1, 1].real - m[0, 0].real) * 0.2
     np.testing.assert_allclose(f_re, -d_re, atol=1e-15)
@@ -128,9 +131,9 @@ def test_coherence_rate_sign_flip_relation(two_level):
 def test_coherence_rate_unsupported_pairs(in_band):
     h, rho0, _ = in_band
     with pytest.raises(UnsupportedPairError):
-        coherence_rate(rho0, h, 3, 3)
+        coherence_rate(rho0, *HUB_BAND, 3, 3)
     with pytest.raises(UnsupportedPairError):
-        coherence_rate(rho0, h, 1, 2)  # band levels never couple directly
+        coherence_rate(rho0, *HUB_BAND, 1, 2)  # band levels never couple directly
 
 
 def test_hub_coherence_rate_exact_at_dephased_state(in_band):
@@ -139,7 +142,7 @@ def test_hub_coherence_rate_exact_at_dephased_state(in_band):
     dephased = measure_dephase(evolve(rho0, spectral, 30.0))
     fd = fd_matrix_rate(dephased, spectral)
     for k in (1, 50, 100, 200):
-        d_re, d_im = coherence_rate(dephased, h, 0, k)
+        d_re, d_im = coherence_rate(dephased, *HUB_BAND, 0, k)
         np.testing.assert_allclose(d_re, fd[0, k].real, atol=1e-12)
         np.testing.assert_allclose(d_im, fd[0, k].imag, atol=1e-12)
 
@@ -151,7 +154,7 @@ def test_hub_coherence_rate_gap_mid_trajectory(in_band):
     fd = fd_matrix_rate(state, spectral)
     worst = 0.0
     for k in range(1, 201):
-        d_re, d_im = coherence_rate(state, h, 0, k)
+        d_re, d_im = coherence_rate(state, *HUB_BAND, 0, k)
         worst = max(worst, abs(d_re - fd[0, k].real), abs(d_im - fd[0, k].imag))
     assert 1e-5 < worst < 5e-3, f"closure gap {worst}"
 
@@ -160,7 +163,7 @@ def test_record_observables_energy_against_dense_trace(in_band):
     h, rho0, spectral = in_band
     state = evolve(rho0, spectral, 17.0)
     pops, _, coherences, trace, purity, energy = record_observables(
-        state, h, pairs=((0, 1),)
+        state, *HUB_BAND, pairs=((0, 1),)
     )
     m = np.asarray(state)
     want = float(np.real(np.trace(h @ m)))
@@ -190,18 +193,10 @@ def test_factor_observables_match_record_observables(in_band):
     q, _ = np.linalg.qr(rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)))
     blocks = np.stack([q * np.exp(1j * k) for k in range(3)], axis=1)  # (n, rows, m)
     w = np.array([0.5, 0.3, 0.15, 0.05])
-    got = factor_observables(blocks.real, blocks.imag, w, h, pairs)
+    got = factor_observables(blocks.real, blocks.imag, w, *HUB_BAND, pairs)
     for r in range(3):
         x = blocks[:, r]
-        want = record_observables((x * w) @ x.conj().T, h, pairs)
+        want = record_observables((x * w) @ x.conj().T, *HUB_BAND, pairs)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a[r], b, rtol=0, atol=1e-14)
 
-
-def test_factor_observables_need_a_hub_hamiltonian():
-    h = np.diag([0.0, 1.0, 2.0])
-    h[1, 2] = h[2, 1] = 0.1
-    x = np.zeros((3, 1, 1))
-    x[0] = 1.0
-    with pytest.raises(ValidationError, match="only to state 0"):
-        factor_observables(x, np.zeros_like(x), np.ones(1), h)

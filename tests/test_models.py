@@ -9,7 +9,7 @@ from zenosim.models import (
     ModelSpec,
     build,
     continuum_grid,
-    level_energies,
+    hub,
 )
 
 
@@ -58,7 +58,7 @@ def test_band_grid_two_levels_at_edges():
 def test_level_in_continuum_dimensions_and_resonance():
     spec = ModelSpec.level_in_continuum()
     assert spec.dim == 201
-    energies = level_energies(spec)
+    energies = hub(spec)[0]
     assert energies[0] == 0.0
     # one band level is exactly degenerate with state 0
     assert np.min(np.abs(energies[1:] - energies[0])) == 0.0
@@ -66,7 +66,7 @@ def test_level_in_continuum_dimensions_and_resonance():
 
 def test_level_outside_continuum_gap():
     spec = ModelSpec.level_outside_continuum()
-    energies = level_energies(spec)
+    energies = hub(spec)[0]
     np.testing.assert_allclose(energies[0] - np.max(energies[1:]), 0.04)
 
 
@@ -122,8 +122,10 @@ def test_band_parameter_gates(kwargs):
         ModelSpec.custom_continuum(**base).validate()
 
 
-def test_level_energies_two_level():
-    np.testing.assert_array_equal(level_energies(ModelSpec.two_level()), [-0.2, 0.2])
+def test_hub_two_level():
+    eps, c = hub(ModelSpec.two_level())
+    np.testing.assert_array_equal(eps, [-0.2, 0.2])
+    np.testing.assert_array_equal(c, [0.0, 0.2])
 
 
 def test_build_dispatch_matches_direct_builders():
@@ -135,3 +137,15 @@ def test_build_dispatch_matches_direct_builders():
     assert hc[0, 0] == 5.04
     hd, _ = build(ModelSpec.custom_continuum(eps0=5.04, d=5.0, n_levels=200, spacing=0.05, v=0.01))
     np.testing.assert_array_equal(hc, hd)
+    # every kind's dense H is its hub form written out
+    for spec in (
+        ModelSpec.two_level(),
+        ModelSpec.level_in_continuum(),
+        ModelSpec.level_outside_continuum(),
+        ModelSpec.custom_continuum(eps0=1.5, d=5.0, n_levels=2, spacing=10.0, v=0.3),
+    ):
+        eps, c = hub(spec)
+        want = np.diag(eps)
+        want[0] += c
+        want[:, 0] += c
+        np.testing.assert_array_equal(build(spec)[0], want)

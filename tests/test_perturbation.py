@@ -8,7 +8,7 @@ from scipy.special import sici
 
 from zenosim.core import DegenerateSpectrumError, ParameterError
 from zenosim.diagnostics import record_observables
-from zenosim.models import ModelSpec, build
+from zenosim.models import ModelSpec, build, hub
 from zenosim.perturbation import (
     ChannelInputs,
     channel_inputs,
@@ -94,7 +94,7 @@ def test_restart_channels_compose_across_a_segment():
     spectral = eigendecompose(h)
     state = evolve(rho0, spectral, 1.0)
     coh = np.asarray(state)[1, 0]
-    pops = record_observables(state, h)[0]
+    pops = record_observables(state, *hub(TWO))[0]
     p1 = pop_from_coherence_1st(coh, -0.4, 0.2, 1.0)
     p2 = pop_from_pop_2nd(pops[1] - pops[0], -0.4, 0.2, 1.0)
     exact_step = np.asarray(evolve(state, spectral, 1.0))[0, 0].real - pops[0]
@@ -122,6 +122,15 @@ def test_channel_gates():
         coherence_from_pop_1st(1.5, 0.4, 0.2, 1.0)
     with pytest.raises(ParameterError):
         pop_from_pop_2nd(-1.2, 0.4, 0.2, 1.0)
+    # NaN fails every range gate
+    for call in (
+        lambda: pop_from_coherence_1st(np.nan, 0.4, 0.2, 1.0),
+        lambda: pop_from_coherence_1st(0.1, 0.4, 0.2, np.nan),
+        lambda: coherence_from_pop_1st(np.nan, 0.4, 0.2, 1.0),
+        lambda: pop_from_pop_2nd(np.array([0.1, np.nan]), 0.4, 0.2, 1.0),
+    ):
+        with pytest.raises(ParameterError):
+            call()
 
 
 def test_channel_inputs_validation():
@@ -129,6 +138,8 @@ def test_channel_inputs_validation():
         ChannelInputs(delta_rho=np.zeros(3), delta_eps=np.zeros(4), v=0.1)
     with pytest.raises(ParameterError):
         ChannelInputs(delta_rho=np.array([1.5]), delta_eps=np.array([0.0]), v=0.1)
+    with pytest.raises(ParameterError):
+        ChannelInputs(delta_rho=np.array([0.2, np.nan]), delta_eps=np.zeros(2), v=0.1)
     with pytest.raises(ParameterError):
         channel_inputs(TWO, np.array([1.0, 0.0, 0.0]))
 

@@ -11,7 +11,7 @@ import scipy.linalg
 
 from zenosim.core import HermitianMatrix, ParameterError, ValidationError
 from zenosim.diagnostics import record_observables
-from zenosim.models import ModelSpec, build
+from zenosim.models import ModelSpec, build, hub
 from zenosim.propagator import (
     eigendecompose,
     evolve,
@@ -22,6 +22,7 @@ from zenosim.propagator import (
 
 OMEGA = 0.2 * np.sqrt(2.0)  # Rabi frequency of the default two-level system
 T_HALF = np.pi / (2.0 * OMEGA)  # first time rho_00 reaches 1/2
+HUB2 = hub(ModelSpec.two_level())  # (eps, c) of the two-level fixture's H
 
 
 def rabi_state(t):
@@ -90,7 +91,7 @@ def test_purity_and_energy_conserved(two_level):
     h, rho0, spectral = two_level
     for t in np.linspace(0.0, 12.0, 25):
         state = evolve(rho0, spectral, t)
-        np.testing.assert_allclose(record_observables(state, h)[4], 1.0, atol=1e-10)
+        np.testing.assert_allclose(record_observables(state, *HUB2)[4], 1.0, atol=1e-10)
         energy = np.real(np.trace(h @ np.asarray(state)))
         np.testing.assert_allclose(energy, -0.2, atol=1e-10)
 
@@ -107,13 +108,13 @@ def test_evolve_rejects_wrong_dimension(two_level):
         evolve(HermitianMatrix(np.zeros((3, 3))), spectral, 1.0)
 
 
-@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, pytest.param(10**400, id="huge-int")])
 def test_non_finite_time_rejected(two_level, t):
     h, rho0, spectral = two_level
     with pytest.raises(ParameterError, match="finite"):
         evolve(rho0, spectral, t)
     with pytest.raises(ParameterError, match="finite"):
-        rk4_evolve(rho0, h, t)
+        rk4_evolve(rho0, *HUB2, t)
 
 
 def test_evolve_rejects_a_raw_non_hermitian_array(two_level):
@@ -133,7 +134,7 @@ def test_evolve_of_a_raw_hermitian_array_equals_evolve_of_its_instance(two_level
 
 def test_liouville_rhs_initial_value(two_level):
     h, rho0, _ = two_level
-    rhs = liouville_rhs(h, rho0)
+    rhs = liouville_rhs(*HUB2, rho0)
     np.testing.assert_allclose(rhs, [[0.0, 0.2j], [-0.2j, 0.0]], atol=1e-15)
 
 
@@ -144,7 +145,27 @@ def test_liouville_rhs_is_time_derivative(two_level):
     ahead = np.asarray(evolve(state, spectral, step))
     behind = np.asarray(evolve(state, spectral, -step))
     fd = (ahead - behind) / (2.0 * step)
-    np.testing.assert_allclose(fd, liouville_rhs(h, state), atol=1e-7)
+    np.testing.assert_allclose(fd, liouville_rhs(*HUB2, state), atol=1e-7)
+
+
+@pytest.mark.parametrize("n", [2, 6, 201])
+def test_liouville_rhs_matches_dense_commutator(n):
+    """The O(n^2) hub products against -i (H m - m H) with H written out,
+    for a density matrix and for a non-Hermitian complex m."""
+    rng = np.random.default_rng(n)
+    eps, c = rng.standard_normal(n), rng.standard_normal(n)
+    c[0] = 0.0
+    h = np.diag(eps)
+    h[0] += c
+    h[:, 0] += c
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = a @ a.conj().T
+    rho /= np.real(np.trace(rho))
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for state in (rho, m):
+        want = -1j * (h @ state - state @ h)
+        err = np.max(np.abs(liouville_rhs(eps, c, state) - want))
+        assert err <= 1e-13 * np.max(np.abs(want)), err
 
 
 def test_eigendecompose_rejects_asymmetric():
@@ -178,7 +199,7 @@ def test_eigendecompose_reconstructs(two_level):
 
 def test_rk4_matches_spectral_two_level(two_level):
     h, rho0, spectral = two_level
-    got = rk4_evolve(rho0, h, 10.0, dt=1e-3)
+    got = rk4_evolve(rho0, *HUB2, 10.0, dt=1e-3)
     want = evolve(rho0, spectral, 10.0)
     np.testing.assert_allclose(np.asarray(got), np.asarray(want), atol=1e-12)
 
@@ -189,7 +210,7 @@ def test_rk4_order_four_convergence(two_level):
     want = np.asarray(evolve(rho0, spectral, 10.0))
     err = {}
     for dt in (0.1, 0.05):
-        got = np.asarray(rk4_evolve(rho0, h, 10.0, dt=dt))
+        got = np.asarray(rk4_evolve(rho0, *HUB2, 10.0, dt=dt))
         err[dt] = np.max(np.abs(got - want))
     ratio = err[0.1] / err[0.05]
     assert 12.0 < ratio < 20.0, f"convergence ratio {ratio}"
@@ -203,7 +224,7 @@ def test_rk4_order_four_convergence(two_level):
 def test_rk4_matches_spectral_on_band_models(spec):
     # short horizon keeps the 201-level integration affordable
     h, rho0 = build(spec)
-    got = rk4_evolve(rho0, h, 1.0, dt=1e-3)
+    got = rk4_evolve(rho0, *hub(spec), 1.0, dt=1e-3)
     want = evolve(rho0, eigendecompose(h), 1.0)
     np.testing.assert_allclose(np.asarray(got), np.asarray(want), atol=1e-8)
 
@@ -231,23 +252,23 @@ def test_evolve_matches_matrix_exponential(spec):
 
 def test_rk4_remainder_only_step(two_level):
     h, rho0, spectral = two_level
-    got = rk4_evolve(rho0, h, 0.0004, dt=1e-3)  # t < dt: single remainder step
+    got = rk4_evolve(rho0, *HUB2, 0.0004, dt=1e-3)  # t < dt: single remainder step
     want = evolve(rho0, spectral, 0.0004)
     np.testing.assert_allclose(np.asarray(got), np.asarray(want), atol=1e-12)
 
 
 def test_rk4_zero_time(two_level):
     h, rho0, _ = two_level
-    got = rk4_evolve(rho0, h, 0.0)
+    got = rk4_evolve(rho0, *HUB2, 0.0)
     np.testing.assert_array_equal(np.asarray(got), np.asarray(rho0))
 
 
 def test_rk4_parameter_gates(two_level):
     h, rho0, _ = two_level
     with pytest.raises(ParameterError):
-        rk4_evolve(rho0, h, -1.0)
+        rk4_evolve(rho0, *HUB2, -1.0)
     with pytest.raises(ParameterError):
-        rk4_evolve(rho0, h, 1.0, dt=0.0)
+        rk4_evolve(rho0, *HUB2, 1.0, dt=0.0)
 
 
 @pytest.mark.parametrize("m", [1, 3, 201])

@@ -14,7 +14,7 @@ from zenosim.interventions import (
     InterventionSchedule,
     apply_intervention,
 )
-from zenosim.models import ModelKind, ModelSpec, build
+from zenosim.models import ModelKind, ModelSpec, build, hub
 from zenosim.propagator import eigendecompose, evolve, rk4_evolve
 from zenosim.scenario import (
     Effect,
@@ -177,7 +177,7 @@ def reference_columns(traj):
     matrix for every row, then `record_observables`."""
     spec = traj.spec
     h, seg = build(spec.model)
-    spectral = eigendecompose(h)
+    spectral, eps_c = eigendecompose(h), hub(spec.model)
     posts = {m.post: item for m, item in zip(traj.markers, spec.schedule)}
     seg_t, state, rows = 0.0, seg, []
     for r, t in enumerate(traj.t):
@@ -186,17 +186,18 @@ def reference_columns(traj):
             seg_t = t
         else:
             state = evolve(seg, spectral, t - seg_t)
-        rows.append(record_observables(state, h, spec.resolved_pairs()))
+        rows.append(record_observables(state, *eps_c, spec.resolved_pairs()))
     return [np.array(column) for column in zip(*rows)]
 
 
 def rk4_final_state(spec, t_end):
-    h, rho = build(spec.model)
+    _, rho = build(spec.model)
+    eps, c = hub(spec.model)
     seg_t = 0.0
     for item in spec.schedule:
-        rho = apply_intervention(rk4_evolve(rho, h, item.time - seg_t), item)
+        rho = apply_intervention(rk4_evolve(rho, eps, c, item.time - seg_t), item)
         seg_t = item.time
-    return rk4_evolve(rho, h, t_end - seg_t)
+    return rk4_evolve(rho, eps, c, t_end - seg_t)
 
 
 M, F = InterventionKind.MEASURE, InterventionKind.SIGN_FLIP
@@ -221,8 +222,9 @@ def test_run_matches_per_row_evolve_and_rk4(spec):
     for name, want in zip(names, reference_columns(traj)):
         got = getattr(traj, name)
         np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12, err_msg=name)
-    h, _ = build(spec.model)
-    final = record_observables(rk4_final_state(spec, traj.t[-1]), h, spec.resolved_pairs())
+    final = record_observables(
+        rk4_final_state(spec, traj.t[-1]), *hub(spec.model), spec.resolved_pairs()
+    )
     tol = 1e-12 if spec.model.kind is ModelKind.TWO_LEVEL else 1e-8
     np.testing.assert_allclose(traj.populations[-1], final[0], rtol=0, atol=tol)
     np.testing.assert_allclose(traj.sigma[-1], final[1], rtol=0, atol=tol)
