@@ -298,8 +298,7 @@ def cmd_predict(config_path: str, trajectory_path: str | None) -> int:
     pops0 = np.zeros(model.dim)
     pops0[0] = 1.0
     t_min, sigma_min = sigma_min_predictor(channel_inputs(model, pops0))
-    print(f"t_min {format_value(t_min)}")
-    print(f"sigma_min {format_value(sigma_min)}")
+    lines = [f"t_min {format_value(t_min)}", f"sigma_min {format_value(sigma_min)}"]
     if trajectory_path is not None:
         try:
             times, pops = read_population_table(trajectory_path)
@@ -310,10 +309,11 @@ def cmd_predict(config_path: str, trajectory_path: str | None) -> int:
                 EXIT_VALIDATION,
                 f"trajectory has {pops.shape[1]} levels, model has {model.dim}",
             )
-        print("t,t_min,sigma_min")
+        lines.append("t,t_min,sigma_min")
         for t, row in zip(times, pops):
             tm, sm = sigma_min_predictor(channel_inputs(model, row))
-            print(f"{format_value(t)},{format_value(tm)},{format_value(sm)}")
+            lines.append(f"{format_value(t)},{format_value(tm)},{format_value(sm)}")
+    print("\n".join(lines))  # nothing is printed unless every row passed
     return EXIT_OK
 
 

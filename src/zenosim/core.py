@@ -73,6 +73,20 @@ class DegenerateSpectrumError(ZenosimError):
     """A predictor denominator vanished; the spectrum carries no curvature."""
 
 
+def _show(value) -> str:
+    """``repr(value)`` for an error message, and never an error itself."""
+    try:
+        return repr(value)
+    except Exception:  # an int of over 4,300 digits, or a broken __repr__
+        size = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{size}>"
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def as_matrix(a) -> np.ndarray:
     """Return the complex128 ndarray behind ``a`` without copying when possible."""
     if isinstance(a, HermitianMatrix):

@@ -17,7 +17,6 @@ from .propagator import eigendecompose, evolve
 __all__ = [
     "sigma",
     "record_observables",
-    "factor_observables",
     "validate_observables",
     "population_rate_residual",
     "coherence_rate",
@@ -44,7 +43,7 @@ def record_observables(rho, eps, c, pairs=()) -> tuple:
     chosen ``pairs``; H enters as its hub form ``(eps, c)`` (`models.hub`).
     """
     m = as_matrix(rho)
-    populations = np.real(np.diagonal(m))
+    populations = np.diagonal(m).real.copy()  # a view would keep all of rho alive
     return (
         populations,
         sigma(m),
@@ -56,35 +55,34 @@ def record_observables(rho, eps, c, pairs=()) -> tuple:
     )
 
 
-def factor_observables(xr, xi, w, eps, c, pairs=()) -> tuple:
+def factor_observables(x, w, eps, c, pairs=()) -> tuple:
     """The rows of `record_observables` for factored states, as columns.
 
-    Row r is the state rho_r = X_r diag(w) X_r^H, with X_r = xr[:, r, :]
-    + i xi[:, r, :] as `propagator.evolve_factor` yields it. Returns
+    Row r is the state rho_r = X_r diag(w) X_r^H, with X_r = x[:, r, :]
+    as `propagator.evolve_factor` yields it. Returns
     ``(populations, sigma, coherences, trace, purity, energy)`` with one
     entry (or row) per state; nothing of size n x n is formed.
 
     Purity is sum_c (w_c |x_c|^2)^2, exact while the columns of X stay
-    orthogonal, which unitary evolution keeps. Energy is read from the
-    diagonal and row 0 of rho through the hub form ``(eps, c)`` of H.
+    orthogonal, which unitary evolution keeps. Sigma and energy are read
+    from column 0 of rho, the conjugate of row 0, through the hub form
+    ``(eps, c)`` of H.
     """
-    sq = xr**2
-    sq += xi**2
+    sq = x.real**2
+    sq += x.imag**2
     populations = (sq @ w).T
-    # rho_0j = sum_c w_c X_0c conj(X_jc)
-    ur, ui = w * xr[0], w * xi[0]
-    row0_re = np.einsum("jrc,rc->rj", xr, ur) + np.einsum("jrc,rc->rj", xi, ui)
-    row0_im = np.einsum("jrc,rc->rj", xr, ui) - np.einsum("jrc,rc->rj", xi, ur)
+    # rho_j0 = sum_c X_jc w_c conj(X_0c)
+    col0 = np.einsum("jrc,rc->rj", x, w * x[0].conj())
     coherences = np.empty((populations.shape[0], len(pairs)), dtype=np.complex128)
     for p, (j, k) in enumerate(pairs):
-        coherences[:, p] = ((xr[j] + 1j * xi[j]) * w * (xr[k] - 1j * xi[k])).sum(axis=1)
+        coherences[:, p] = (x[j] * w * x[k].conj()).sum(axis=1)
     return (
         populations,
-        row0_im[:, 1:].sum(axis=1),
+        -col0.imag[:, 1:].sum(axis=1),
         coherences,
         populations.sum(axis=1),
         ((sq.sum(axis=0) * w) ** 2).sum(axis=1),
-        populations @ eps + 2.0 * (row0_re @ c),
+        populations @ eps + 2.0 * (col0.real @ c),
     )
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import HermitianMatrix, ParameterError, ValidationError, as_matrix
+from .core import HermitianMatrix, ParameterError, ValidationError, _is_integer, _show, as_matrix
 
 __all__ = [
     "InterventionKind",
@@ -73,21 +73,24 @@ class InterventionSchedule:
             if not isinstance(item, Intervention):
                 problems.append((path, "is not an Intervention"))
                 continue
+            if not isinstance(item.kind, InterventionKind):
+                problems.append((f"{path}.kind", f"{_show(item.kind)} is not an InterventionKind"))
             if not item.time > 0:
-                problems.append((f"{path}.time", f"{item.time!r} must be positive"))
+                problems.append((f"{path}.time", f"{_show(item.time)} must be positive"))
             elif not item.time > prev:
                 problems.append(
-                    (f"{path}.time", f"{item.time!r} does not increase past {prev!r}")
+                    (f"{path}.time", f"{_show(item.time)} does not increase past {_show(prev)}")
                 )
             prev = max(prev, item.time)
             if t_final is not None and item.time >= t_final:
                 problems.append(
-                    (f"{path}.time", f"{item.time!r} is not before t_final {t_final!r}")
+                    (f"{path}.time", f"{_show(item.time)} is not before t_final {_show(t_final)}")
                 )
-            if isinstance(item.target, bool) or not isinstance(item.target, (int, np.integer)):
-                problems.append((f"{path}.target", f"{item.target!r} is not an integer"))
+            if not _is_integer(item.target):
+                problems.append((f"{path}.target", f"{_show(item.target)} is not an integer"))
             elif dim is not None and not 0 <= item.target < dim:
-                problems.append((f"{path}.target", f"{item.target} outside [0, {dim})"))
+                target = _show(int(item.target))
+                problems.append((f"{path}.target", f"{target} outside [0, {dim})"))
         if problems:
             raise ValidationError.from_problems("schedule", problems)
         return self
@@ -126,4 +129,4 @@ def apply_intervention(rho, item: Intervention) -> HermitianMatrix:
         return measure_dephase(rho)
     if item.kind is InterventionKind.SIGN_FLIP:
         return sign_flip(rho, item.target)
-    raise ParameterError(f"unknown intervention kind {item.kind!r}")
+    raise ParameterError(f"unknown intervention kind {_show(item.kind)}")

@@ -15,13 +15,12 @@ the band.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import HermitianMatrix, ParameterError
+from .core import HermitianMatrix, ParameterError, _is_integer, _show
 
 __all__ = [
     "ModelKind",
@@ -131,28 +130,34 @@ class ModelSpec:
         problems = []
         bound = f"at most {MAX_ENERGY:g} in magnitude"
         if not 0 <= self.v <= MAX_ENERGY:
-            problems.append(("v", f"must be a nonnegative coupling {bound}, got {self.v!r}"))
+            problems.append(("v", f"must be a nonnegative coupling {bound}, got {_show(self.v)}"))
         if not abs(self.eps0) <= MAX_ENERGY:
-            problems.append(("eps0", f"must be {bound}, got {self.eps0!r}"))
+            problems.append(("eps0", f"must be {bound}, got {_show(self.eps0)}"))
         if self.kind is ModelKind.TWO_LEVEL:
             if self.eps1 is None:
                 problems.append(("eps1", "is required for the two-level kind"))
             elif not abs(self.eps1) <= MAX_ENERGY:
-                problems.append(("eps1", f"must be {bound}, got {self.eps1!r}"))
+                problems.append(("eps1", f"must be {bound}, got {_show(self.eps1)}"))
         else:
             d, n, spacing = self.d, self.n_levels, self.spacing
             if d is None or not 0 < d <= MAX_ENERGY:
-                problems.append(("d", f"must be positive and {bound} for band kinds, got {d!r}"))
-            if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 2:
-                problems.append(("n_levels", f"must be an integer of at least 2, got {n!r}"))
+                problems.append(
+                    ("d", f"must be positive and {bound} for band kinds, got {_show(d)}")
+                )
+            if not _is_integer(n) or n < 2:
+                problems.append(("n_levels", f"must be an integer of at least 2, got {_show(n)}"))
             elif n + 1 > MAX_DIM:
-                problems.append(("n_levels", f"{n} exceeds the limit of {MAX_DIM - 1} levels"))
+                problems.append(
+                    ("n_levels", f"{_show(int(n))} exceeds the limit of {MAX_DIM - 1} levels")
+                )
             if spacing is None or not spacing > 0:
-                problems.append(("spacing", f"must be positive, got {spacing!r}"))
+                problems.append(("spacing", f"must be positive, got {_show(spacing)}"))
             if not problems:  # an infinite or huge spacing fails here, compared exactly
                 span = (n - 1) * spacing
                 if span > 2 * d + GRID_SPAN_SLACK:
-                    problems.append(("spacing", f"band span {span!r} exceeds 2d = {2 * d!r}"))
+                    problems.append(
+                        ("spacing", f"band span {_show(span)} exceeds 2d = {_show(2 * d)}")
+                    )
         if problems:
             raise ParameterError.from_problems(
                 "model parameters", [(f"model.{name}", text) for name, text in problems]
@@ -190,7 +195,7 @@ def build(spec: ModelSpec):
     coupling is only meaningful for the closed-form predictors).
     """
     if not spec.v > 0:
-        raise ParameterError(f"coupling v must be positive, got {spec.v!r}")
+        raise ParameterError(f"coupling v must be positive, got {_show(spec.v)}")
     eps, c = hub(spec)
     h = np.diag(eps)
     h[0, 1:] = h[1:, 0] = c[1:]

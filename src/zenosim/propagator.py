@@ -18,14 +18,15 @@ from .core import (
     ParameterError,
     SpectralData,
     ValidationError,
+    _show,
     as_matrix,
 )
 
-__all__ = ["eigendecompose", "evolve", "evolve_factor", "liouville_rhs", "rk4_evolve"]
+__all__ = ["eigendecompose", "evolve", "liouville_rhs", "rk4_evolve"]
 
 SYMMETRY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
-# entries of each real (n, rows, m) array `evolve_factor` builds per block
+# entries of each (n, rows, m) block `evolve_factor` yields
 BLOCK_ENTRIES = 1 << 14
 # finite times lie in [-FLOAT_MAX, FLOAT_MAX]; a huge int compares exactly and fails
 FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -82,7 +83,7 @@ def evolve(rho, spectral: SpectralData, t: float) -> HermitianMatrix:
     Hermiticity-preserving in exact arithmetic.
     """
     if not -FLOAT_MAX <= t <= FLOAT_MAX:
-        raise ParameterError(f"evolution time must be finite, got {t!r}")
+        raise ParameterError(f"evolution time t must be finite, got {_show(t)}")
     rm = as_matrix(HermitianMatrix(rho))
     vec = spectral.eigenvectors
     if rm.shape != (spectral.dim, spectral.dim):
@@ -101,46 +102,41 @@ def evolve(rho, spectral: SpectralData, t: float) -> HermitianMatrix:
 
 def _real_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for real a and complex b, as one real GEMM on b's float64 view."""
-    return (a @ np.ascontiguousarray(b).view(np.float64)).view(np.complex128)
+    return (a @ np.ascontiguousarray(b, dtype=np.complex128).view(np.float64)).view(np.complex128)
 
 
-def evolve_factor(xr, xi, spectral: SpectralData, times):
-    """Propagate the columns of X = xr + i xi to each of ``times``.
+def evolve_factor(x, spectral: SpectralData, times):
+    """Propagate the columns of the complex factor X to each of ``times``.
 
     X(t) = V (exp(-i lam t) o V^T X): every column evolves as a pure
-    state, so rho = X diag(w) X^H evolves for any weights w. All
-    arithmetic is real, so no complex n x n temporary is built.
+    state, so rho = X diag(w) X^H evolves for any weights w. Both
+    products with V are real GEMMs on the float64 view (`_real_times`),
+    so no complex n x n temporary is built.
 
     Parameters
     ----------
-    xr, xi : ndarray, shape (n, m)
-        Real and imaginary parts of X.
+    x : ndarray, shape (n, m)
+        The complex factor X.
     times : ndarray, shape (rows,)
         Propagation times.
 
     Yields
     ------
-    (first, xr_t, xi_t)
-        Consecutive blocks: ``xr_t[j, r, c]`` is the real part of entry
-        ``(j, c)`` of X at ``times[first + r]``. A block holds at most
-        `BLOCK_ENTRIES` entries per array, but never less than one row,
-        so one GEMM pair covers many rows of a pure state and one row of
-        a mixed state.
+    (first, x_t)
+        Consecutive blocks: ``x_t[j, r, c]`` is entry ``(j, c)`` of X at
+        ``times[first + r]``. A block holds at most `BLOCK_ENTRIES`
+        entries, but never less than one row, so one GEMM covers many
+        rows of a pure state and one row of a mixed state.
     """
     vec, lam = spectral.eigenvectors, spectral.eigenvalues
-    n, m = xr.shape
+    n, m = x.shape
     if n != spectral.dim:
         raise ValidationError(f"factor with {n} rows does not match a {spectral.dim}-level system")
-    yr, yi = (vec.T @ xr)[:, None, :], (vec.T @ xi)[:, None, :]
+    y = _real_times(vec.T, x)[:, None, :]
     step = max(1, BLOCK_ENTRIES // (n * m))
     for first in range(0, len(times), step):
-        # exp(-i lam t) = c - i s, so (c - i s)(yr + i yi) = (c yr + s yi) + i (c yi - s yr)
-        phase = np.multiply.outer(lam, times[first : first + step])[:, :, None]
-        c, s = np.cos(phase), np.sin(phase)
-        shape = (n, phase.shape[1], m)
-        zr = vec @ (c * yr + s * yi).reshape(n, -1)
-        zi = vec @ (c * yi - s * yr).reshape(n, -1)
-        yield first, zr.reshape(shape), zi.reshape(shape)
+        phase = np.exp(-1j * np.multiply.outer(lam, times[first : first + step]))
+        yield first, _real_times(vec, (phase[:, :, None] * y).reshape(n, -1)).reshape(n, -1, m)
 
 
 def liouville_rhs(eps, c, rho) -> np.ndarray:
@@ -186,9 +182,9 @@ def rk4_evolve(rho, eps, c, t: float, dt: float = 1e-3) -> HermitianMatrix:
     asymmetry beyond 1e-12 would fail and signal a broken integration.
     """
     if not 0 <= t <= FLOAT_MAX:
-        raise ParameterError(f"rk4 horizon must be finite and nonnegative, got {t!r}")
+        raise ParameterError(f"rk4 horizon t must be finite and nonnegative, got {_show(t)}")
     if not dt > 0:
-        raise ParameterError(f"rk4 step must be positive, got {dt!r}")
+        raise ParameterError(f"rk4 step dt must be positive, got {_show(dt)}")
     r = as_matrix(rho)
 
     def step(m, s):

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ValidationError, as_matrix
+from .core import ValidationError, _is_integer, _show, as_matrix
 from .diagnostics import factor_observables, record_observables, validate_observables
 from .interventions import (
     InterventionKind,
@@ -91,18 +91,25 @@ class ScenarioSpec:
         spec is built), raising ValidationError with one problem per field."""
         problems = []
         if not 0 < self.t_final <= MAX_TIME:
-            problems.append(("t_final", f"must lie in (0, {MAX_TIME:g}], got {self.t_final!r}"))
+            problems.append(
+                ("t_final", f"must lie in (0, {MAX_TIME:g}], got {_show(self.t_final)}")
+            )
         if not 0 < self.sample_dt <= self.t_final:
-            problems.append(("sample_dt", f"must lie in (0, t_final], got {self.sample_dt!r}"))
+            problems.append(
+                ("sample_dt", f"must lie in (0, t_final], got {_show(self.sample_dt)}")
+            )
         if not problems:
             rows = self.t_final / self.sample_dt + 1 + 2 * len(self.schedule)
             if not rows <= MAX_ROWS:
                 problems.append(("sample_dt", f"gives {rows:.4g} rows, more than {MAX_ROWS}"))
         if not self.model.v > 0:
-            problems.append(("model.v", f"must be positive to run, got {self.model.v!r}"))
+            problems.append(("model.v", f"must be positive to run, got {_show(self.model.v)}"))
         dim = self.model.dim
-        for j, k in self.resolved_pairs():
-            if j == k or not (0 <= j < dim and 0 <= k < dim):
+        for p in self.coherence_pairs or ():
+            if not (isinstance(p, (tuple, list)) and len(p) == 2 and all(map(_is_integer, p))):
+                problems.append(("coherence_pairs", f"{_show(p)} is not a pair of integers"))
+            elif p[0] == p[1] or not (0 <= p[0] < dim and 0 <= p[1] < dim):
+                j, k = (_show(int(i)) for i in p)
                 problems.append(("coherence_pairs", f"({j},{k}) invalid for dim {dim}"))
         try:
             self.schedule.validate(dim=dim, t_final=self.t_final)
@@ -205,9 +212,9 @@ def _diagonal_factor(rho):
     """X and w of a diagonal state: the unit columns of its nonzero populations."""
     w = np.real(np.diagonal(as_matrix(rho)))
     keep = np.flatnonzero(w)
-    xr = np.zeros((w.size, keep.size))
-    xr[keep, np.arange(keep.size)] = 1.0
-    return xr, np.zeros_like(xr), w[keep]
+    x = np.zeros((w.size, keep.size), dtype=np.complex128)
+    x[keep, np.arange(keep.size)] = 1.0
+    return x, w[keep]
 
 
 def run(spec: ScenarioSpec) -> Trajectory:
@@ -247,32 +254,28 @@ def run(spec: ScenarioSpec) -> Trajectory:
     # a segment starts at t = 0 or at a post row; its factored rows run
     # up to and including the next pre row, which `evolve` then overwrites
     seg_t, first = 0.0, 0
-    xr, xi, w = _diagonal_factor(state)  # build starts every model in |0><0|
+    x, w = _diagonal_factor(state)  # build starts every model in |0><0|
     for marker, item in zip([*markers, None], [*spec.schedule, None]):
         last = rows - 1 if marker is None else marker.pre
-        for k, xr, xi in evolve_factor(xr, xi, spectral, t[first : last + 1] - seg_t):
-            block = factor_observables(xr, xi, w, eps, c, pairs)
-            put(slice(first + k, first + k + xr.shape[1]), block)
+        for k, x in evolve_factor(x, spectral, t[first : last + 1] - seg_t):
+            put(slice(first + k, first + k + x.shape[1]), factor_observables(x, w, eps, c, pairs))
         if marker is None:
             break
-        if item.kind is InterventionKind.SIGN_FLIP:
-            # U = 1 - 2|s><s| negates row s of X at the pre row
-            sign = np.where(np.arange(xr.shape[0]) == item.target, -1.0, 1.0)[:, None]
-            xr, xi = xr[:, -1] * sign, xi[:, -1] * sign
-        else:
-            xr = xi = None  # release the last block; the measurement resets X
-        pre = evolve(state, spectral, marker.time - seg_t)
-        row = record_observables(pre, eps, c, pairs)
+        x = x[:, -1].copy()  # the factor at the pre row; drops the last block
+        state = evolve(state, spectral, marker.time - seg_t)  # the pre row's full matrix
+        row = record_observables(state, eps, c, pairs)
         drift = float(np.max(np.abs(row[0] - populations[last])))
         if not drift <= CROSS_CHECK_TOL:
             raise ValidationError(
                 f"factored populations differ from evolve by {drift:.3e} in row {last}"
             )
         put(last, row)
-        state = apply_intervention(pre, item)
+        state = apply_intervention(state, item)
         put(marker.post, record_observables(state, eps, c, pairs))
-        if item.kind is InterventionKind.MEASURE:
-            xr, xi, w = _diagonal_factor(state)
+        if item.kind is InterventionKind.SIGN_FLIP:
+            x[item.target] *= -1.0  # U = 1 - 2|s><s| negates row s of X
+        else:
+            x, w = _diagonal_factor(state)
         seg_t, first = marker.time, marker.post + 1
 
     validate_observables(populations, columns[3], columns[4])

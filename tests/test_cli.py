@@ -231,6 +231,7 @@ def test_predict_trajectory_rejects_a_nan_population(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "delta_rho" in captured.err and "Traceback" not in captured.err
     assert "nan" not in captured.out
+    assert captured.out == ""  # not even the rows before the bad one
 
 
 def test_reproduce_unknown_figure_exits_4(tmp_path, capsys):

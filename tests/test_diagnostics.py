@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zenosim.core import HermitianMatrix, UnsupportedPairError, ValidationError
+from zenosim.core import HermitianMatrix, UnsupportedPairError, ValidationError, as_matrix
 from zenosim.diagnostics import (
     coherence_rate,
     factor_observables,
@@ -174,6 +174,15 @@ def test_record_observables_energy_against_dense_trace(in_band):
     np.testing.assert_allclose(purity, np.sum(np.abs(m) ** 2), atol=1e-14)
 
 
+def test_record_observables_populations_do_not_hold_the_state(in_band):
+    """`run` keeps a row's populations after it drops the state; a view
+    into rho would keep the whole n x n matrix alive."""
+    _, rho0, spectral = in_band
+    state = evolve(rho0, spectral, 3.0)
+    pops = record_observables(state, *HUB_BAND)[0]
+    assert not np.shares_memory(pops, as_matrix(state))
+
+
 def test_observable_record_validation():
     with pytest.raises(ValidationError):
         validate_observables(np.array([[0.7, 0.7]]), np.array([1.0]), np.array([1.0]))
@@ -193,7 +202,7 @@ def test_factor_observables_match_record_observables(in_band):
     q, _ = np.linalg.qr(rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)))
     blocks = np.stack([q * np.exp(1j * k) for k in range(3)], axis=1)  # (n, rows, m)
     w = np.array([0.5, 0.3, 0.15, 0.05])
-    got = factor_observables(blocks.real, blocks.imag, w, *HUB_BAND, pairs)
+    got = factor_observables(blocks, w, *HUB_BAND, pairs)
     for r in range(3):
         x = blocks[:, r]
         want = record_observables((x * w) @ x.conj().T, *HUB_BAND, pairs)

@@ -179,5 +179,13 @@ def test_schedule_accepts_integer_target(target):
     InterventionSchedule((Intervention(1.0, InterventionKind.SIGN_FLIP, target),)).validate(dim=3)
 
 
+@pytest.mark.parametrize("kind", ["bogus", "sign_flip", None, 0])
+def test_schedule_rejects_a_kind_that_is_not_an_intervention_kind(kind):
+    sched = InterventionSchedule((Intervention(0.5, kind),))
+    with pytest.raises(ValidationError) as err:
+        sched.validate(dim=3)
+    assert err.value.problems == (("schedule[0].kind", f"{kind!r} is not an InterventionKind"),)
+
+
 def test_empty_schedule_is_valid():
     InterventionSchedule().validate(dim=2, t_final=1.0)

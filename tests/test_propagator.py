@@ -284,17 +284,17 @@ def test_evolve_factor_matches_evolve(m):
     # 170 pure rows fill three blocks; 201 columns take one row per block
     times = np.linspace(0.0, 3.0, 170 if m == 1 else 3)
     seen = 0
-    for first, xr, xi in evolve_factor(x.real, x.imag, spectral, times):
+    for first, block in evolve_factor(x, spectral, times):
         assert first == seen
-        for r in range(0, xr.shape[1], 7):
-            xt = xr[:, r] + 1j * xi[:, r]
+        for r in range(0, block.shape[1], 7):
+            xt = block[:, r]
             want = np.asarray(evolve(rho, spectral, times[first + r]))
             np.testing.assert_allclose((xt * w) @ xt.conj().T, want, rtol=0, atol=1e-13)
-        seen += xr.shape[1]
+        seen += block.shape[1]
     assert seen == times.size
 
 
 def test_evolve_factor_rejects_wrong_dimension(two_level):
     _, _, spectral = two_level
     with pytest.raises(ValidationError):
-        next(evolve_factor(np.ones((3, 1)), np.zeros((3, 1)), spectral, np.zeros(1)))
+        next(evolve_factor(np.ones((3, 1), dtype=np.complex128), spectral, np.zeros(1)))

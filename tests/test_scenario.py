@@ -1,12 +1,14 @@
 """End-to-end runs: sampling, tie handling, determinism, classification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenosim import scenario
-from zenosim.core import HermitianMatrix, ValidationError
+from zenosim.core import HermitianMatrix, ParameterError, ValidationError, ZenosimError
 from zenosim.diagnostics import record_observables
 from zenosim.interventions import (
     Intervention,
@@ -373,3 +375,94 @@ def test_default_pairs_by_kind():
         coherence_pairs=((0, 100),),
     )
     assert explicit.resolved_pairs() == ((0, 100),)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [((1.5, 0),), (("a", "b"),), ((1,),), ((True, 0),), ((0, 1, 2),), ((np.float64(1.0), 0),)],
+)
+def test_coherence_pairs_must_be_integer_pairs(pairs):
+    with pytest.raises(ValidationError) as err:
+        ScenarioSpec(ModelSpec.two_level(), 1.0, 0.5, coherence_pairs=pairs)
+    assert [field for field, _ in err.value.problems] == ["coherence_pairs"]
+
+
+def test_coherence_pairs_accept_numpy_integers():
+    spec = ScenarioSpec(ModelSpec.two_level(), 1.0, 0.5, coherence_pairs=((np.int64(1), 0),))
+    assert spec.resolved_pairs() == ((1, 0),)
+
+
+HUGE = 10**5000  # more digits than Python will print
+
+
+def _evolve_huge():
+    h, rho0 = build(ModelSpec.two_level())
+    evolve(rho0, eigendecompose(h), HUGE)
+
+
+def _rk4_huge():
+    rk4_evolve(build(ModelSpec.two_level())[1], *hub(ModelSpec.two_level()), HUGE)
+
+
+@pytest.mark.parametrize(
+    "call, error, field",
+    [
+        (_evolve_huge, ParameterError, "t"),
+        (_rk4_huge, ParameterError, "t"),
+        (lambda: ModelSpec.two_level(v=HUGE), ParameterError, "model.v"),
+        (lambda: ScenarioSpec(ModelSpec.two_level(), HUGE, 0.1), ValidationError, "t_final"),
+    ],
+    ids=["evolve", "rk4_evolve", "model.v", "t_final"],
+)
+def test_huge_integers_raise_library_errors(call, error, field):
+    """Python refuses to print such an int; the message names it by size."""
+    with pytest.raises(error) as err:
+        call()
+    assert f"{field} " in str(err.value) and "<int of 16610 bits>" in str(err.value)
+
+
+# the fuzz pool: non-finite, huge, negative and non-integer values; kinds and
+# pair entries add wrong types of their own
+_BAD = [math.nan, math.inf, -math.inf, HUGE, -1, 1.5]
+_BAD_KINDS = [*_BAD, "measure", "sign_flip", "bogus", None]
+_BAD_PAIR_ENTRIES = [*_BAD, "a", None, True, np.float64(1.0)]
+
+
+@st.composite
+def spoiled_spec_arguments(draw):
+    """A small valid run (two-level or 4-level band) with one to three fields
+    replaced by a bad value."""
+    band = draw(st.booleans())
+    if band:
+        model = {"eps0": 0.0, "d": 1.0, "n_levels": 4, "spacing": 0.5, "v": 0.1}
+    else:
+        model = {"eps0": -0.2, "eps1": 0.2, "v": 0.2}
+    timing = {"t_final": 2.0, "sample_dt": 0.5}
+    events = [
+        {"time": 0.5 * (i + 1), "kind": draw(st.sampled_from(list(InterventionKind))),
+         "target": draw(st.sampled_from([0, 1]))}
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    pairs = [[1, 0], [0, 1]][: draw(st.integers(0, 2))]
+    fields = [(obj, key) for obj in (model, timing, *events) for key in obj]
+    fields += [(pair, i) for pair in pairs for i in (0, 1)]
+    for _ in range(draw(st.integers(1, 3))):
+        obj, key = draw(st.sampled_from(fields))
+        pool = _BAD_KINDS if key == "kind" else _BAD_PAIR_ENTRIES if isinstance(obj, list) else _BAD
+        obj[key] = draw(st.sampled_from(pool))
+    return band, model, timing, events, pairs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(args=spoiled_spec_arguments())
+def test_fuzzed_specs_raise_only_library_errors(args):
+    """The library counterpart of the CLI's fuzzed-config test: a spec built
+    from bad values either runs or raises a ZenosimError, nothing else."""
+    band, model, timing, events, pairs = args
+    factory = ModelSpec.level_in_continuum if band else ModelSpec.two_level
+    try:
+        schedule = InterventionSchedule(tuple(Intervention(**e) for e in events))
+        pairs = tuple(tuple(p) for p in pairs)
+        run(ScenarioSpec(factory(**model), timing["t_final"], timing["sample_dt"], schedule, pairs))
+    except ZenosimError:
+        pass
