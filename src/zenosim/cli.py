@@ -13,8 +13,12 @@ Three subcommands:
 Exit codes: 0 success, 2 config read/parse errors, 3 validation errors
 (each problem named by its dotted config path, e.g. run.sample_dt) and
 output write failures, 4 unknown figure id. This module checks only the
-document's shape; value rules, including the limits of 1000 band levels
-(model.n_levels) and 100,000 rows (run.sample_dt), live in the specs.
+document's structure (object and list sections, known and non-null keys,
+kind names, output.path a string) and passes values on as read, a missing
+key as None: every type and value rule of a field, including the limits
+of 1000 band levels and 100,000 rows, lives in ModelSpec,
+InterventionSchedule and ScenarioSpec. ``predict`` without a run section
+builds no ScenarioSpec, so it checks only the structure of the rest.
 
 Config schema (all sections are objects, unknown keys are rejected)::
 
@@ -72,12 +76,16 @@ _INTERVENTION_KEYS = {"time", "kind", "target"}
 _OUTPUT_KEYS = {"path", "coherence_pairs"}
 _TOP_KEYS = {"model", "run", "interventions", "output"}
 
-_MODEL_FACTORY = {
-    ModelKind.TWO_LEVEL: ModelSpec.two_level,
-    ModelKind.LEVEL_IN_CONTINUUM: ModelSpec.level_in_continuum,
-    ModelKind.LEVEL_OUTSIDE_CONTINUUM: ModelSpec.level_outside_continuum,
-    ModelKind.CUSTOM_CONTINUUM: ModelSpec.custom_continuum,
+# each kind's model keys with the defaults of its ModelSpec factory, which
+# bears the kind's name (None where the factory has no default)
+_MODEL_DEFAULTS = {
+    kind: {
+        name: None if p.default is p.empty else p.default
+        for name, p in inspect.signature(getattr(ModelSpec, kind.value)).parameters.items()
+    }
+    for kind in ModelKind
 }
+_MODEL_KEYS = {"kind"}.union(*_MODEL_DEFAULTS.values())
 
 # library field roots renamed to the config sections they are read from
 _CONFIG_ROOT = {
@@ -87,31 +95,35 @@ _CONFIG_ROOT = {
     "coherence_pairs": "output.coherence_pairs",
 }
 
-# the model keys that apply to a kind are the parameters of its factory
-_KIND_FIELDS = {k: set(inspect.signature(f).parameters) for k, f in _MODEL_FACTORY.items()}
-_MODEL_KEYS = {"kind"}.union(*_KIND_FIELDS.values())
-
 
 def _require_object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise _ConfigError(EXIT_VALIDATION, f"{path} must be an object")
     return value
 
-def _reject_unknown(obj: dict, allowed, path: str, problems: list) -> None:
+def _check_keys(obj: dict, allowed, path: str, problems: list) -> None:
+    # the format has no null: a key is either given a value or left out (a
+    # null section is reported as not an object or list)
     for key in obj:
+        where = f"{path}.{key}" if path else key
         if key not in allowed:
-            problems.append(f"unknown key {path}.{key}" if path else f"unknown key {key}")
+            problems.append(f"unknown key {where}")
+        elif path and obj[key] is None:
+            problems.append(f"{where} must not be null (give it a value or leave it out)")
 
 
-def _number_field(obj, key, path, problems, required=False):
-    if key not in obj:
-        if required:
-            problems.append(f"{path}.{key} is required")
-        return None
-    if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
-        problems.append(f"{path}.{key} must be a number, got {obj[key]!r}")
-        return None
-    return obj[key]
+def _kind(enum, obj: dict, path: str, problems: list):
+    """The member of ``enum`` named by ``obj["kind"]``, or None and a problem
+    (which `_check_keys` reports for a null kind)."""
+    try:
+        return enum(obj["kind"])
+    except KeyError:
+        problems.append(f"{path}.kind is required")
+    except ValueError:
+        if obj["kind"] is not None:
+            known = ", ".join(k.value for k in enum)
+            problems.append(f"{path}.kind: unknown kind {obj['kind']!r} (expected one of {known})")
+    return None
 
 
 def _spec_problems(exc: ZenosimError) -> list:
@@ -149,33 +161,13 @@ def _build_model(doc: dict, problems: list) -> ModelSpec | None:
         problems.append("model section is required")
         return None
     model = _require_object(doc["model"], "model")
-    _reject_unknown(model, _MODEL_KEYS, "model", problems)
-    kind_raw = model.get("kind")
-    if kind_raw is None:
-        problems.append("model.kind is required")
+    _check_keys(model, _MODEL_KEYS, "model", problems)
+    kind = _kind(ModelKind, model, "model", problems)
+    if kind is None:
         return None
+    given = {k: v for k, v in model.items() if k in _MODEL_KEYS and v is not None}
     try:
-        kind = ModelKind(kind_raw)
-    except ValueError:
-        known = ", ".join(k.value for k in ModelKind)
-        problems.append(f"model.kind: unknown kind {kind_raw!r} (expected one of {known})")
-        return None
-    fields = _KIND_FIELDS[kind]
-    for key in _MODEL_KEYS - {"kind"}:
-        if key in model and key not in fields:
-            problems.append(f"model.{key} does not apply to kind {kind.value!r}")
-    kwargs = {}
-    for key in fields:
-        val = _number_field(model, key, "model", problems)
-        if val is not None:
-            kwargs[key] = val
-    if kind is ModelKind.CUSTOM_CONTINUUM:
-        for key in sorted(k for k in fields if k not in model):
-            problems.append(f"model.{key} is required for kind 'custom_continuum'")
-    if problems:
-        return None
-    try:
-        return _MODEL_FACTORY[kind](**kwargs)
+        return ModelSpec(**{**_MODEL_DEFAULTS[kind], **given, "kind": kind})
     except ParameterError as exc:
         problems.extend(_spec_problems(exc))
         return None
@@ -192,84 +184,41 @@ def _build_schedule(doc: dict, problems: list) -> InterventionSchedule:
         if not isinstance(entry, dict):
             problems.append(f"{path} must be an object")
             continue
-        _reject_unknown(entry, _INTERVENTION_KEYS, path, problems)
-        t = _number_field(entry, "time", path, problems, required=True)
-        kind_raw = entry.get("kind")
-        kind = None
-        if kind_raw is None:
-            problems.append(f"{path}.kind is required")
-        else:
-            try:
-                kind = InterventionKind(kind_raw)
-            except ValueError:
-                known = ", ".join(k.value for k in InterventionKind)
-                problems.append(
-                    f"{path}.kind: unknown kind {kind_raw!r} (expected one of {known})"
-                )
-        target = entry.get("target", 0)
-        if not isinstance(target, int) or isinstance(target, bool):
-            problems.append(f"{path}.target must be an integer, got {target!r}")
-            target = 0
-        if t is not None and kind is not None:
-            items.append(Intervention(time=t, kind=kind, target=target))
+        _check_keys(entry, _INTERVENTION_KEYS, path, problems)
+        kind = _kind(InterventionKind, entry, path, problems)
+        items.append(Intervention(entry.get("time"), kind, entry.get("target", 0)))
     return InterventionSchedule(tuple(items))
 
 
-def _build_pairs(doc: dict, problems: list):
-    if "output" not in doc:
-        return None, None
-    output = _require_object(doc["output"], "output")
-    _reject_unknown(output, _OUTPUT_KEYS, "output", problems)
+def build_scenario(doc: dict, need_run: bool = True):
+    """Check the parsed document's structure and assemble the scenario pieces.
+
+    Returns (model, scenario_or_None, output_path_or_None). Structure
+    problems, then the specs' problems, are raised together on exit code 3.
+    """
+    problems: list = []
+    _check_keys(doc, _TOP_KEYS, "", problems)
+    model = _build_model(doc, problems)
+    run_obj = None
+    if "run" in doc:
+        run_obj = _require_object(doc["run"], "run")
+        _check_keys(run_obj, _RUN_KEYS, "run", problems)
+    elif need_run:
+        problems.append("run section is required")
+    schedule = _build_schedule(doc, problems)
+    output = _require_object(doc.get("output", {}), "output")
+    _check_keys(output, _OUTPUT_KEYS, "output", problems)
     out_path = output.get("path")
     if out_path is not None and not isinstance(out_path, str):
         problems.append(f"output.path must be a string, got {out_path!r}")
-        out_path = None
-    pairs = None
-    if "coherence_pairs" in output:
-        raw = output["coherence_pairs"]
-        ok = isinstance(raw, list) and all(
-            isinstance(p, list)
-            and len(p) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in p)
-            for p in raw
-        )
-        if not ok:
-            problems.append("output.coherence_pairs must be a list of [j, k] integer pairs")
-        else:
-            pairs = tuple((p[0], p[1]) for p in raw)
-    return out_path, pairs
-
-
-def build_scenario(doc: dict, need_run: bool = True):
-    """Validate the parsed document and assemble the scenario pieces.
-
-    Returns (model, scenario_or_None, output_path_or_None). Field
-    problems are collected and raised together on exit code 3.
-    """
-    problems: list = []
-    _reject_unknown(doc, _TOP_KEYS, "", problems)
-    model = _build_model(doc, problems)
-
-    run_obj = None
-    t_final = sample_dt = None
-    if "run" in doc:
-        run_obj = _require_object(doc["run"], "run")
-        _reject_unknown(run_obj, _RUN_KEYS, "run", problems)
-        t_final = _number_field(run_obj, "t_final", "run", problems, required=True)
-        sample_dt = _number_field(run_obj, "sample_dt", "run", problems, required=True)
-    elif need_run:
-        problems.append("run section is required")
-
-    schedule = _build_schedule(doc, problems)
-    out_path, pairs = _build_pairs(doc, problems)
-
     if problems:
         raise _ConfigError(EXIT_VALIDATION, "invalid config: " + "; ".join(problems))
 
     scenario = None
     if run_obj is not None:
         try:
-            scenario = ScenarioSpec(model, t_final, sample_dt, schedule, pairs)
+            timing = run_obj.get("t_final"), run_obj.get("sample_dt")
+            scenario = ScenarioSpec(model, *timing, schedule, output.get("coherence_pairs"))
         except ValidationError as exc:
             message = "invalid config: " + "; ".join(_spec_problems(exc))
             raise _ConfigError(EXIT_VALIDATION, message) from exc

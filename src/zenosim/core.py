@@ -87,6 +87,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """An int, float or numpy integer or floating, but not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def as_matrix(a) -> np.ndarray:
     """Return the complex128 ndarray behind ``a`` without copying when possible."""
     if isinstance(a, HermitianMatrix):
@@ -148,10 +153,10 @@ class HermitianMatrix:
     @classmethod
     def basis_state(cls, dim: int, j: int) -> "HermitianMatrix":
         """Projector |j><j| as a density matrix."""
-        if dim < 1:
-            raise ParameterError(f"dim must be positive, got {dim}")
-        if not 0 <= j < dim:
-            raise ParameterError(f"state index {j} outside [0, {dim})")
+        if not _is_integer(dim) or dim < 1:
+            raise ParameterError(f"dim must be a positive integer, got {_show(dim)}")
+        if not _is_integer(j) or not 0 <= j < dim:
+            raise ParameterError(f"state index {_show(j)} is not an integer in [0, {dim})")
         m = np.zeros((dim, dim), dtype=np.complex128)
         m[j, j] = 1.0
         return cls._wrap(m)

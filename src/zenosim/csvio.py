@@ -83,8 +83,11 @@ def read_population_table(path):
     times : ndarray, shape (n_rows,)
     populations : ndarray, shape (n_rows, dim)
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = [ln.rstrip("\n").rstrip("\r") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not lines:
         raise ValidationError(f"{path}: empty trajectory file")
     header = lines[0].split(",")
@@ -93,6 +96,8 @@ def read_population_table(path):
     dim = header.index("sigma") - 1
     if dim < 1:
         raise ValidationError(f"{path}: no population columns found")
+    if len(lines) == 1:
+        raise ValidationError(f"{path}: no data rows")
     times = []
     pops = []
     for ln in lines[1:]:
@@ -101,6 +106,9 @@ def read_population_table(path):
             raise ValidationError(
                 f"{path}: row with {len(parts)} fields, expected {len(header)}"
             )
-        times.append(float(parts[0]))
-        pops.append([float(x) for x in parts[1 : dim + 1]])
+        try:
+            times.append(float(parts[0]))
+            pops.append([float(x) for x in parts[1 : dim + 1]])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
     return np.asarray(times), np.asarray(pops)

@@ -18,7 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import HermitianMatrix, ParameterError, ValidationError, _is_integer, _show, as_matrix
+from .core import (
+    HermitianMatrix, ParameterError, ValidationError, _is_integer, _is_real, _show, as_matrix
+)
 
 __all__ = [
     "InterventionKind",
@@ -56,7 +58,11 @@ class InterventionSchedule:
     items: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+        try:
+            object.__setattr__(self, "items", tuple(self.items))
+        except TypeError:
+            problem = ("schedule", f"must be a sequence of interventions, got {_show(self.items)}")
+            raise ValidationError.from_problems("schedule", [problem]) from None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -75,17 +81,21 @@ class InterventionSchedule:
                 continue
             if not isinstance(item.kind, InterventionKind):
                 problems.append((f"{path}.kind", f"{_show(item.kind)} is not an InterventionKind"))
-            if not item.time > 0:
-                problems.append((f"{path}.time", f"{_show(item.time)} must be positive"))
-            elif not item.time > prev:
-                problems.append(
-                    (f"{path}.time", f"{_show(item.time)} does not increase past {_show(prev)}")
-                )
-            prev = max(prev, item.time)
-            if t_final is not None and item.time >= t_final:
-                problems.append(
-                    (f"{path}.time", f"{_show(item.time)} is not before t_final {_show(t_final)}")
-                )
+            time = item.time
+            if not _is_real(time):
+                problems.append((f"{path}.time", f"{_show(time)} is not a number"))
+            else:
+                if not time > 0:
+                    problems.append((f"{path}.time", f"{_show(time)} must be positive"))
+                elif not time > prev:
+                    problems.append(
+                        (f"{path}.time", f"{_show(time)} does not increase past {_show(prev)}")
+                    )
+                prev = max(prev, time)
+                if t_final is not None and time >= t_final:
+                    problems.append(
+                        (f"{path}.time", f"{_show(time)} is not before t_final {_show(t_final)}")
+                    )
             if not _is_integer(item.target):
                 problems.append((f"{path}.target", f"{_show(item.target)} is not an integer"))
             elif dim is not None and not 0 <= item.target < dim:
@@ -116,8 +126,8 @@ def sign_flip(rho, target: int) -> HermitianMatrix:
     because it only flips signs.
     """
     state = HermitianMatrix(rho)
-    if not 0 <= target < state.dim:
-        raise ParameterError(f"flip target {target} outside [0, {state.dim})")
+    if not _is_integer(target) or not 0 <= target < state.dim:
+        raise ParameterError(f"flip target {_show(target)} is not an integer in [0, {state.dim})")
     out = as_matrix(state.validate_density()).copy()
     out[target, :] *= -1.0
     out[:, target] *= -1.0  # (target, target) is negated twice, so it survives

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import HermitianMatrix, ParameterError, _is_integer, _show
+from .core import HermitianMatrix, ParameterError, _is_integer, _is_real, _show
 
 __all__ = [
     "ModelKind",
@@ -126,43 +126,59 @@ class ModelSpec:
 
     def validate(self) -> "ModelSpec":
         """Check the parameters (run when the spec is built), raising
-        ParameterError with one ``model.<field>`` problem per violation."""
-        problems = []
-        bound = f"at most {MAX_ENERGY:g} in magnitude"
-        if not 0 <= self.v <= MAX_ENERGY:
-            problems.append(("v", f"must be a nonnegative coupling {bound}, got {_show(self.v)}"))
-        if not abs(self.eps0) <= MAX_ENERGY:
-            problems.append(("eps0", f"must be {bound}, got {_show(self.eps0)}"))
-        if self.kind is ModelKind.TWO_LEVEL:
-            if self.eps1 is None:
-                problems.append(("eps1", "is required for the two-level kind"))
-            elif not abs(self.eps1) <= MAX_ENERGY:
-                problems.append(("eps1", f"must be {bound}, got {_show(self.eps1)}"))
+        ParameterError with one ``model.<field>`` problem per violation. No
+        value is compared before ``kind`` is a `ModelKind`, the fields of the
+        kind are real numbers (``n_levels`` an integer) and the rest None."""
+        if not isinstance(self.kind, ModelKind):
+            problems = [("kind", f"must be a ModelKind, got {_show(self.kind)}")]
         else:
-            d, n, spacing = self.d, self.n_levels, self.spacing
-            if d is None or not 0 < d <= MAX_ENERGY:
-                problems.append(
-                    ("d", f"must be positive and {bound} for band kinds, got {_show(d)}")
-                )
-            if not _is_integer(n) or n < 2:
-                problems.append(("n_levels", f"must be an integer of at least 2, got {_show(n)}"))
-            elif n + 1 > MAX_DIM:
-                problems.append(
-                    ("n_levels", f"{_show(int(n))} exceeds the limit of {MAX_DIM - 1} levels")
-                )
-            if spacing is None or not spacing > 0:
-                problems.append(("spacing", f"must be positive, got {_show(spacing)}"))
-            if not problems:  # an infinite or huge spacing fails here, compared exactly
-                span = (n - 1) * spacing
-                if span > 2 * d + GRID_SPAN_SLACK:
-                    problems.append(
-                        ("spacing", f"band span {_show(span)} exceeds 2d = {_show(2 * d)}")
-                    )
+            problems = self._type_problems() or self._value_problems()
         if problems:
             raise ParameterError.from_problems(
                 "model parameters", [(f"model.{name}", text) for name, text in problems]
             )
         return self
+
+    def _type_problems(self) -> list:
+        band = self.kind is not ModelKind.TWO_LEVEL
+        unused = ("eps1",) if band else ("d", "n_levels", "spacing")
+        problems = [(name, f"does not apply to kind {self.kind.value!r}")
+                    for name in unused if getattr(self, name) is not None]
+        problems += [(name, f"must be a number, got {_show(getattr(self, name))}")
+                     for name in ("v", "eps0", "d", "spacing", "eps1")
+                     if name not in unused and not _is_real(getattr(self, name))]
+        if band and not (_is_integer(self.n_levels) and self.n_levels >= 2):
+            problems.append(
+                ("n_levels", f"must be an integer of at least 2, got {_show(self.n_levels)}")
+            )
+        return problems
+
+    def _value_problems(self) -> list:
+        problems = []
+        bound = f"at most {MAX_ENERGY:g} in magnitude"
+        if not 0 <= self.v <= MAX_ENERGY:
+            problems.append(("v", f"must be a nonnegative coupling {bound}, got {_show(self.v)}"))
+        for name in ("eps0", "eps1") if self.kind is ModelKind.TWO_LEVEL else ("eps0",):
+            if not abs(getattr(self, name)) <= MAX_ENERGY:
+                problems.append((name, f"must be {bound}, got {_show(getattr(self, name))}"))
+        if self.kind is ModelKind.TWO_LEVEL:
+            return problems
+        d, n, spacing = self.d, self.n_levels, self.spacing
+        if not 0 < d <= MAX_ENERGY:
+            problems.append(("d", f"must be positive and {bound} for band kinds, got {_show(d)}"))
+        if n + 1 > MAX_DIM:
+            problems.append(
+                ("n_levels", f"{_show(int(n))} exceeds the limit of {MAX_DIM - 1} levels")
+            )
+        if not spacing > 0:
+            problems.append(("spacing", f"must be positive, got {_show(spacing)}"))
+        if not problems:  # an infinite or huge spacing fails here, compared exactly
+            span = (n - 1) * spacing
+            if span > 2 * d + GRID_SPAN_SLACK:
+                problems.append(
+                    ("spacing", f"band span {_show(span)} exceeds 2d = {_show(2 * d)}")
+                )
+        return problems
 
 
 def continuum_grid(n: int, spacing: float, d: float) -> np.ndarray:

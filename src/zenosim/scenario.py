@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ValidationError, _is_integer, _show, as_matrix
+from .core import ValidationError, _is_integer, _is_real, _show, as_matrix
 from .diagnostics import factor_observables, record_observables, validate_observables
 from .interventions import (
     InterventionKind,
@@ -88,8 +88,23 @@ class ScenarioSpec:
 
     def validate(self) -> "ScenarioSpec":
         """Check the run and the schedule against the model (run when the
-        spec is built), raising ValidationError with one problem per field."""
-        problems = []
+        spec is built), raising ValidationError with one problem per field.
+        Every field's type is checked before any value is compared."""
+        problems = [
+            (name, f"must be {what}, got {_show(getattr(self, name))}")
+            for name, ok, what in (
+                ("model", isinstance(self.model, ModelSpec), "a ModelSpec"),
+                ("t_final", _is_real(self.t_final), "a number"),
+                ("sample_dt", _is_real(self.sample_dt), "a number"),
+                ("schedule", isinstance(self.schedule, InterventionSchedule),
+                 "an InterventionSchedule"),
+                ("coherence_pairs", isinstance(self.coherence_pairs, (tuple, list, type(None))),
+                 "None or a sequence of pairs"),
+            )
+            if not ok
+        ]
+        if problems:
+            raise ValidationError.from_problems("scenario", problems)
         if not 0 < self.t_final <= MAX_TIME:
             problems.append(
                 ("t_final", f"must lie in (0, {MAX_TIME:g}], got {_show(self.t_final)}")
@@ -233,6 +248,7 @@ def run(spec: ScenarioSpec) -> Trajectory:
     """
     h, state = build(spec.model)
     spectral, (eps, c) = eigendecompose(h), hub(spec.model)
+    del h  # only the eigendecomposition reads the dense H; free it for the run
     pairs = spec.resolved_pairs()
     t, events, grid, markers = _row_plan(spec)
 

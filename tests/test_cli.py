@@ -234,6 +234,28 @@ def test_predict_trajectory_rejects_a_nan_population(tmp_path, capsys):
     assert captured.out == ""  # not even the rows before the bad one
 
 
+_TRAJECTORY_HEADER = b"t,rho_00,rho_11,sigma,re_10,im_10,trace,purity,energy,event\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _TRAJECTORY_HEADER + b"0,abc,0,0,0,0,1,1,-0.2,none\n",
+        _TRAJECTORY_HEADER + b"0,1,0,0,0,0,1,1,-0.2,none\xff\n",
+        _TRAJECTORY_HEADER,
+    ],
+    ids=["text-population", "non-utf8", "no-data-rows"],
+)
+def test_predict_malformed_trajectory_exits_2(tmp_path, capsys, data):
+    out = tmp_path / "traj.csv"
+    out.write_bytes(data)
+    cfg = write_config(tmp_path, {"model": {"kind": "two_level"}}, name="model.json")
+    assert main(["predict", "--config", cfg, "--trajectory", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot read trajectory" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_reproduce_unknown_figure_exits_4(tmp_path, capsys):
     assert main(["reproduce", "--figure", "fig99", "--out-dir", str(tmp_path)]) == 4
     assert "fig99" in capsys.readouterr().err
@@ -302,6 +324,22 @@ def test_non_finite_inputs_exit_3(tmp_path, capsys, section, values, field):
         err = capsys.readouterr().err
         assert f"invalid config: {path} " in err or f"; {path} " in err, err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "section, values, path",
+    [
+        ("model", {"kind": "two_level", "spacing": None}, "model.spacing"),
+        ("model", {"kind": "level_in_continuum", "eps1": None}, "model.eps1"),
+        ("output", {"path": "out.csv", "coherence_pairs": None}, "output.coherence_pairs"),
+        ("interventions", [{"time": 1.0, "kind": None}], "interventions[0].kind"),
+    ],
+)
+def test_null_key_exits_3(tmp_path, capsys, section, values, path):
+    """The library reads None as "not set"; the config format has no null."""
+    doc = base_config(tmp_path, **{section: values})
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 3
+    assert f"invalid config: {path} must not be null" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -115,6 +115,22 @@ def test_maps_commute_with_hermiticity(seed, dim):
         np.testing.assert_array_equal(populations(out), populations(rho))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sign_flip(HermitianMatrix.basis_state(3, 0), 1.5),
+        lambda: sign_flip(HermitianMatrix.basis_state(3, 0), True),
+        lambda: HermitianMatrix.basis_state(2, 1.5),
+        lambda: HermitianMatrix.basis_state(2, True),
+    ],
+    ids=["flip-float", "flip-bool", "basis-float", "basis-bool"],
+)
+def test_state_index_must_be_an_integer(call):
+    """Unchecked, numpy raises IndexError for 1.5 and reads True as a mask."""
+    with pytest.raises(ParameterError, match="is not an integer"):
+        call()
+
+
 def test_apply_intervention_dispatch():
     rho = random_density(np.random.default_rng(7), 3)
     m = apply_intervention(rho, Intervention(1.0, InterventionKind.MEASURE))

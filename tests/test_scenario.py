@@ -421,17 +421,19 @@ def test_huge_integers_raise_library_errors(call, error, field):
     assert f"{field} " in str(err.value) and "<int of 16610 bits>" in str(err.value)
 
 
-# the fuzz pool: non-finite, huge, negative and non-integer values; kinds and
-# pair entries add wrong types of their own
-_BAD = [math.nan, math.inf, -math.inf, HUGE, -1, 1.5]
-_BAD_KINDS = [*_BAD, "measure", "sign_flip", "bogus", None]
-_BAD_PAIR_ENTRIES = [*_BAD, "a", None, True, np.float64(1.0)]
+# the fuzz pool: non-finite, huge, negative and non-integer values, and wrong
+# types; kinds and pair entries add wrong values of their own
+_BAD = [math.nan, math.inf, -math.inf, HUGE, -1, 1.5, None, True, "1", [], 1j]
+_BAD_KINDS = [*_BAD, "measure", "sign_flip", "bogus"]
+_BAD_PAIR_ENTRIES = [*_BAD, "a", np.float64(1.0)]
+# a whole argument replaced: a string, an int, or its content as a plain list
+_SWAPPED = [None, "model", "schedule", "coherence_pairs"]
 
 
 @st.composite
 def spoiled_spec_arguments(draw):
-    """A small valid run (two-level or 4-level band) with one to three fields
-    replaced by a bad value."""
+    """A small valid run (two-level or 4-level band) with up to three fields
+    replaced by a bad value, and perhaps one whole argument by a wrong type."""
     band = draw(st.booleans())
     if band:
         model = {"eps0": 0.0, "d": 1.0, "n_levels": 4, "spacing": 0.5, "v": 0.1}
@@ -444,13 +446,14 @@ def spoiled_spec_arguments(draw):
         for i in range(draw(st.integers(0, 2)))
     ]
     pairs = [[1, 0], [0, 1]][: draw(st.integers(0, 2))]
+    swap = (draw(st.sampled_from(_SWAPPED)), draw(st.sampled_from(["x", 5, "list"])))
     fields = [(obj, key) for obj in (model, timing, *events) for key in obj]
     fields += [(pair, i) for pair in pairs for i in (0, 1)]
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0 if swap[0] else 1, 3))):
         obj, key = draw(st.sampled_from(fields))
         pool = _BAD_KINDS if key == "kind" else _BAD_PAIR_ENTRIES if isinstance(obj, list) else _BAD
         obj[key] = draw(st.sampled_from(pool))
-    return band, model, timing, events, pairs
+    return band, model, timing, events, pairs, swap
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -458,11 +461,69 @@ def spoiled_spec_arguments(draw):
 def test_fuzzed_specs_raise_only_library_errors(args):
     """The library counterpart of the CLI's fuzzed-config test: a spec built
     from bad values either runs or raises a ZenosimError, nothing else."""
-    band, model, timing, events, pairs = args
+    band, model, timing, events, pairs, (swapped, wrong) = args
     factory = ModelSpec.level_in_continuum if band else ModelSpec.two_level
     try:
-        schedule = InterventionSchedule(tuple(Intervention(**e) for e in events))
-        pairs = tuple(tuple(p) for p in pairs)
-        run(ScenarioSpec(factory(**model), timing["t_final"], timing["sample_dt"], schedule, pairs))
+        arguments = {
+            "model": factory(**model),
+            "schedule": InterventionSchedule(tuple(Intervention(**e) for e in events)),
+            "coherence_pairs": tuple(tuple(p) for p in pairs),
+        }
+        if swapped is not None:
+            value = arguments[swapped]
+            plain = [value] if swapped == "model" else list(value)
+            arguments[swapped] = plain if wrong == "list" else wrong
+        run(ScenarioSpec(t_final=timing["t_final"], sample_dt=timing["sample_dt"], **arguments))
     except ZenosimError:
         pass
+
+
+@pytest.mark.parametrize(
+    "call, error, field",
+    [
+        (lambda: ScenarioSpec(ModelSpec.two_level(), "1.0", 0.5), ValidationError, "t_final"),
+        (
+            lambda: ScenarioSpec(
+                ModelSpec.two_level(), 1.0, 0.5,
+                InterventionSchedule((Intervention("0.5", InterventionKind.MEASURE),)),
+            ),
+            ValidationError,
+            "schedule[0].time",
+        ),
+        (
+            lambda: ScenarioSpec(ModelSpec.two_level(), 1.0, 0.5, coherence_pairs=5),
+            ValidationError,
+            "coherence_pairs",
+        ),
+        (
+            lambda: ModelSpec(kind="two_level", v=0.2, eps0=-0.2, eps1=0.2),
+            ParameterError,
+            "model.kind",
+        ),
+        (lambda: ModelSpec.two_level(v=True), ParameterError, "model.v"),
+        (
+            lambda: ModelSpec(kind=ModelKind.TWO_LEVEL, v=0.2, eps0=-0.2, eps1=0.2, d=5.0),
+            ParameterError,
+            "model.d",
+        ),
+        (lambda: ScenarioSpec("x", 1.0, 0.5), ValidationError, "model"),
+        (
+            lambda: ScenarioSpec(
+                ModelSpec.two_level(), 1.0, 0.5,
+                schedule=[Intervention(0.5, InterventionKind.MEASURE)],
+            ),
+            ValidationError,
+            "schedule",
+        ),
+        (lambda: InterventionSchedule(5), ValidationError, "schedule"),
+    ],
+    ids=[
+        "str-t_final", "str-time", "int-pairs", "str-kind", "bool-v", "d-on-two-level",
+        "str-model", "list-schedule", "int-schedule-items",
+    ],
+)
+def test_wrong_types_name_their_field(call, error, field):
+    """A wrong type in a library argument is a library error naming its field."""
+    with pytest.raises(error) as err:
+        call()
+    assert [name for name, _ in err.value.problems] == [field]
