@@ -193,8 +193,11 @@ def _build_schedule(doc: dict, problems: list) -> InterventionSchedule:
 def build_scenario(doc: dict, need_run: bool = True):
     """Check the parsed document's structure and assemble the scenario pieces.
 
-    Returns (model, scenario_or_None, output_path_or_None). Structure
-    problems, then the specs' problems, are raised together on exit code 3.
+    Returns (model, scenario_or_None, output_path_or_None). The specs are
+    built from the known keys even when the structure has problems, and
+    both lists are raised together on exit code 3, structure first; a
+    spec problem at a path that a structure problem already names is left
+    out.
     """
     problems: list = []
     _check_keys(doc, _TOP_KEYS, "", problems)
@@ -211,8 +214,6 @@ def build_scenario(doc: dict, need_run: bool = True):
     out_path = output.get("path")
     if out_path is not None and not isinstance(out_path, str):
         problems.append(f"output.path must be a string, got {out_path!r}")
-    if problems:
-        raise _ConfigError(EXIT_VALIDATION, "invalid config: " + "; ".join(problems))
 
     scenario = None
     if run_obj is not None:
@@ -220,8 +221,12 @@ def build_scenario(doc: dict, need_run: bool = True):
             timing = run_obj.get("t_final"), run_obj.get("sample_dt")
             scenario = ScenarioSpec(model, *timing, schedule, output.get("coherence_pairs"))
         except ValidationError as exc:
-            message = "invalid config: " + "; ".join(_spec_problems(exc))
-            raise _ConfigError(EXIT_VALIDATION, message) from exc
+            # a missing model was reported by its section, a null or unknown value at its path
+            named = {problem.split(" ")[0].rstrip(":") for problem in problems}
+            named.update(("model",) if model is None else ())
+            problems += [p for p in _spec_problems(exc) if p.split(" ")[0] not in named]
+    if problems:
+        raise _ConfigError(EXIT_VALIDATION, "invalid config: " + "; ".join(problems))
     return model, scenario, out_path
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import HermitianMatrix, SpectralData, UnsupportedPairError, ValidationError, as_matrix
-from .propagator import eigendecompose, evolve
+from .propagator import _real_times, eigendecompose, evolve
 
 __all__ = [
     "sigma",
@@ -84,6 +84,73 @@ def factor_observables(x, w, eps, c, pairs=()) -> tuple:
         ((sq.sum(axis=0) * w) ** 2).sum(axis=1),
         populations @ eps + 2.0 * (col0.real @ c),
     )
+
+
+def dephased_observables(u, d, p, gaps, eps, c, pairs=()) -> tuple:
+    """The rows of `record_observables` for rho = U diag(p) U^H, as columns.
+
+    ``u`` and ``d`` hold row 0 and the diagonal of U for each row, shape
+    (n, rows), as `propagator.row0_and_diagonal` gives them, and ``gaps``
+    is `propagator.band_gaps`. Every other entry of U is
+    U_jk = (c_k u_j - c_j u_k) G_jk, so with W = G^2 diag(p) and R = G diag(p)
+    over the band (j, k >= 1):
+
+        P_j = p_0 |u_j|^2 + p_j |d_j|^2 + |u_j|^2 (W c^2)_j + c_j^2 (W |u|^2)_j
+              - 2 c_j Re(u_j conj(W (c u))_j),          P_0 = |u|^2 . p
+        rho_0k = conj(u_k) (p_0 u_0 + (R (c u))_k) + p_k u_k conj(d_k) - c_k (R |u|^2)_k
+
+    Four real GEMMs with W or R per block of rows, O(n^2) per row (one
+    stacked [W; R] made OpenBLAS touch more memory, +0.4 MB peak RSS on
+    lic_zeno); a tracked pair costs O(n) per row, and purity is sum p^2
+    (U is unitary).
+    """
+    n, rows = u.shape
+    au = u.real**2
+    au += u.imag**2
+    pops = np.empty((n, rows))
+    pops[0] = p @ au
+    ad = d.real[1:] ** 2
+    ad += d.imag[1:] ** 2
+    pops[1:] = p[1:, None] * ad
+    pops[1:] += p[0] * au[1:]
+    rho0 = p[0] * u[0] * u.conj()  # row 0 of rho; entry 0 is replaced below
+    rho0 += p[:, None] * u * d.conj()
+    if n > 2:  # with one band level every band term vanishes
+        cb, cu = c[1:, None], c[1:, None] * u[1:]
+        r = gaps * p[1:]
+        w = r * gaps
+        w_cu = _real_times(w, cu)
+        pops[1:] += au[1:] * (w @ c[1:] ** 2)[:, None]
+        pops[1:] += cb**2 * (w @ au[1:])
+        pops[1:] -= 2.0 * cb * (u.real[1:] * w_cu.real + u.imag[1:] * w_cu.imag)
+        rho0[1:] += u[1:].conj() * _real_times(r, cu)
+        rho0[1:] -= cb * (r @ au[1:])
+    rho0[0] = pops[0]
+    populations = pops.T
+    coherences = np.empty((rows, len(pairs)), dtype=np.complex128)
+    for q, (j, k) in enumerate(pairs):
+        if j == 0 or k == 0:
+            coherences[:, q] = rho0[j or k] if j == 0 else rho0[j].conj()
+        else:
+            coherences[:, q] = (p[:, None] * _u_row(u, d, gaps, c, j)
+                                * _u_row(u, d, gaps, c, k).conj()).sum(axis=0)
+    return (
+        populations,
+        rho0.imag[1:].sum(axis=0),
+        coherences,
+        populations.sum(axis=1),
+        np.full(rows, p @ p),
+        populations @ eps + 2.0 * (c @ rho0.real),
+    )
+
+
+def _u_row(u, d, gaps, c, j):
+    """Row j >= 1 of U from its row 0 and diagonal: U_jk = (c_k u_j - c_j u_k) G_jk."""
+    row = np.empty_like(u)
+    row[0] = u[j]
+    row[1:] = gaps[j - 1][:, None] * (c[1:, None] * u[j] - c[j] * u[1:])
+    row[j] = d[j]
+    return row
 
 
 def validate_observables(populations, trace, purity) -> None:

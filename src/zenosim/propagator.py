@@ -2,9 +2,12 @@
 
 The equation of motion is i drho/dt = [H, rho] with H constant, so the
 exact solution is rho(t) = exp(-iHt) rho exp(+iHt). `evolve` applies it
-to a full matrix through one eigendecomposition of H; `evolve_factor`
-applies it to a factored state rho = X diag(w) X^H for many times at
-once, which is how `scenario.run` fills a trajectory. `rk4_evolve`
+to a full matrix through one eigendecomposition of H. `scenario.run`
+fills a trajectory through two cheaper routes: `evolve_factor` carries
+a few state columns (a pure state, or the flips of a dephased one) to
+many times at once, and `row0_and_diagonal` gives the two pieces of U(t)
+from which the hub identity of `band_gaps` rebuilds every row of a
+dephased state. `rk4_evolve`
 steps the same equation through the hub entries of H, never its
 eigenvectors, as a cross-check that shares no code with the spectral route.
 """
@@ -28,6 +31,13 @@ SYMMETRY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
 # entries of each (n, rows, m) block `evolve_factor` yields
 BLOCK_ENTRIES = 1 << 14
+# largest hub condition (max|eps| + max|c|) max|c| / ((n - 1) (min band gap)^2)
+# for which `band_gaps` allows the row-0 route. Over random valid band models
+# (3 to 201 levels, spacings 1e-6 to 3, couplings 1e-3 to 1e3, energies up to
+# 1e3, times up to 1e4) the route's populations stayed within 5e-14 of `evolve`
+# below it; the gap grows about in proportion, to 1.6e-13 below 300 and 2.3e-12
+# below 3,000, where it would trip the pre-row cross-check
+MAX_GAP_CONDITION = 100.0
 # finite times lie in [-FLOAT_MAX, FLOAT_MAX]; a huge int compares exactly and fails
 FLOAT_MAX = float(np.finfo(np.float64).max)
 
@@ -109,9 +119,14 @@ def evolve_factor(x, spectral: SpectralData, times):
     """Propagate the columns of the complex factor X to each of ``times``.
 
     X(t) = V (exp(-i lam t) o V^T X): every column evolves as a pure
-    state, so rho = X diag(w) X^H evolves for any weights w. Both
+    state, so X diag(w) X^H evolves for any real weights w. Both
     products with V are real GEMMs on the float64 view (`_real_times`),
-    so no complex n x n temporary is built.
+    so no complex n x n temporary is built. `scenario.run` passes the
+    one column of a pure state and the two columns that each flip adds
+    to a dephased state (`flip_columns`). A dephased state itself, as one
+    unit column per populated level, comes here only when `band_gaps`
+    finds the hub too ill-conditioned for the row-0 route; then a block
+    may hold a single row.
 
     Parameters
     ----------
@@ -125,8 +140,7 @@ def evolve_factor(x, spectral: SpectralData, times):
     (first, x_t)
         Consecutive blocks: ``x_t[j, r, c]`` is entry ``(j, c)`` of X at
         ``times[first + r]``. A block holds at most `BLOCK_ENTRIES`
-        entries, but never less than one row, so one GEMM covers many
-        rows of a pure state and one row of a mixed state.
+        entries, but never less than one row.
     """
     vec, lam = spectral.eigenvectors, spectral.eigenvalues
     n, m = x.shape
@@ -137,6 +151,53 @@ def evolve_factor(x, spectral: SpectralData, times):
     for first in range(0, len(times), step):
         phase = np.exp(-1j * np.multiply.outer(lam, times[first : first + step]))
         yield first, _real_times(vec, (phase[:, :, None] * y).reshape(n, -1)).reshape(n, -1, m)
+
+
+def row0_and_diagonal(spectral: SpectralData, vv, times):
+    """Row 0 and the diagonal of U(t) = V diag(exp(-i lam t)) V^T at each time.
+
+    With ``vv`` = V o V, two real GEMMs against one array of phases give
+    u_j = U_0j = sum_m V_jm V_0m exp(-i lam_m t) and d_j = U_jj for all
+    ``times``: two complex arrays of shape (n, rows).
+    """
+    vec = spectral.eigenvectors
+    phases = np.exp(-1j * np.multiply.outer(spectral.eigenvalues, times))
+    return _real_times(vec, vec[0][:, None] * phases), _real_times(vv, phases)
+
+
+def band_gaps(eps, c):
+    """G_jk = 1 / (eps_j - eps_k) over the band levels j, k >= 1, zero for j = k.
+
+    For the hub H of ``(eps, c)``, [H, U] = 0 gives every band entry
+    U_jk = (c_k u_j - c_j u_k) G_jk, j != k, of the symmetric U = exp(-iHt)
+    from its row 0 u. The division amplifies the eigendecomposition's
+    roundoff, so this returns None when the hub's condition
+    (max|eps| + max|c|) max|c| max|G|^2 / (n - 1) exceeds
+    `MAX_GAP_CONDITION`.
+    """
+    with np.errstate(divide="ignore"):
+        gaps = 1.0 / np.subtract.outer(eps[1:], eps[1:])
+    np.fill_diagonal(gaps, 0.0)
+    cmax = np.max(np.abs(c))
+    condition = (np.max(np.abs(eps)) + cmax) * cmax * np.max(gaps) ** 2 / gaps.shape[0]
+    return gaps if condition <= MAX_GAP_CONDITION else None
+
+
+def flip_columns(spectral: SpectralData, p, t: float, s: int):
+    """The factor that a flip of level s adds to a dephased state.
+
+    For rho_D = U(t) diag(p) U(t)^H and F = 1 - 2|s><s|,
+    F rho_D F - rho_D = -2 (e_s g^H + g e_s^H) + 4 P_s e_s e_s^H with
+    g = rho_D e_s and P_s = g_s. That equals X diag(1, -1) X^H for the
+    returned X = [g - (1 + P_s) e_s, g + (1 - P_s) e_s] and w = (1, -1).
+    """
+    vec = spectral.eigenvectors
+    phases = np.exp(-1j * spectral.eigenvalues * t)[:, None]
+    r = _real_times(vec, phases * vec[s][:, None])  # U(t) e_s
+    g = _real_times(vec, phases * _real_times(vec.T, p[:, None] * r.conj()))[:, 0]
+    x = np.stack((g, g), axis=1)
+    x[s] -= (1.0 + g[s].real, g[s].real - 1.0)
+    return x, np.array([1.0, -1.0])
 
 
 def liouville_rhs(eps, c, rho) -> np.ndarray:

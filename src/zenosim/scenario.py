@@ -2,10 +2,12 @@
 
 A run propagates exactly between scheduled interventions, reusing one
 eigendecomposition for the whole trajectory, and samples observables on
-a uniform grid. Between two interventions the state is one unitary
-image of the segment's start state, so it is carried as weighted state
-vectors, rho = X diag(w) X^H, and every sample of a segment comes from
-`evolve_factor` without forming an n x n matrix. Interventions are
+a uniform grid. Between two interventions no sample forms an n x n
+matrix. Until the first measurement the state is one vector, carried by
+`evolve_factor`. After a measurement it is U diag(p) U^H, read from
+row 0 and the diagonal of U alone (`row0_and_diagonal`,
+`dephased_observables`), plus two signed vectors per later flip; see
+`run`. Interventions are
 instantaneous: each contributes a pre row and a post row at the same
 time stamp, with equal populations and (possibly) different
 coherences. Both are built from full density matrices (`evolve`, then
@@ -26,15 +28,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ValidationError, _is_integer, _is_real, _show, as_matrix
-from .diagnostics import factor_observables, record_observables, validate_observables
+from .core import ValidationError, _is_integer, _is_real, _show
+from .diagnostics import (
+    dephased_observables,
+    factor_observables,
+    record_observables,
+    validate_observables,
+)
 from .interventions import (
     InterventionKind,
     InterventionSchedule,
     apply_intervention,
 )
 from .models import ModelKind, ModelSpec, build, hub
-from .propagator import eigendecompose, evolve, evolve_factor
+from .propagator import (
+    BLOCK_ENTRIES,
+    band_gaps,
+    eigendecompose,
+    evolve,
+    evolve_factor,
+    flip_columns,
+    row0_and_diagonal,
+)
 
 __all__ = [
     "ScenarioSpec",
@@ -223,28 +238,38 @@ def _row_plan(spec: ScenarioSpec):
     return np.array(t, dtype=np.float64), events, np.array(grid), markers
 
 
-def _diagonal_factor(rho):
-    """X and w of a diagonal state: the unit columns of its nonzero populations."""
-    w = np.real(np.diagonal(as_matrix(rho)))
-    keep = np.flatnonzero(w)
-    x = np.zeros((w.size, keep.size), dtype=np.complex128)
+def _diagonal_factor(p):
+    """X and w of diag(p): the unit columns of its nonzero populations."""
+    keep = np.flatnonzero(p)
+    x = np.zeros((p.size, keep.size), dtype=np.complex128)
     x[keep, np.arange(keep.size)] = 1.0
-    return x, w[keep]
+    return x, p[keep]
 
 
 def run(spec: ScenarioSpec) -> Trajectory:
     """Execute one scenario.
 
-    Between interventions the state is carried as rho = X diag(w) X^H
-    and its rows come from `evolve_factor` and `factor_observables`:
-    X starts as one column (the initial |0><0|), a measurement resets it
-    to unit columns weighted by the measured populations, and a flip
-    negates row ``target`` of X. Each pre row is instead `evolve` of the
-    previous post-intervention matrix, and its populations must match
-    the factored state's within `CROSS_CHECK_TOL`; each post row is
-    `apply_intervention`'s result. Every row evolves from its segment
-    start, never from the previous sample, so sampling density cannot
-    change the states visited.
+    Rows between interventions take one of two routes, and neither forms
+    an n x n matrix:
+
+    * a pure state (from t = 0 until the first measurement) is one column
+      x, rho = x x^H, carried by `evolve_factor` and read by
+      `factor_observables`; a flip negates row ``target`` of x;
+    * after a measurement the state is rho_D(t) = U(t - tau) diag(p)
+      U(t - tau)^H, with p the measured populations at time tau, read by
+      `dephased_observables` from row 0 and the diagonal of U alone, at
+      O(n^2) per row. Each later flip adds two columns (`flip_columns`)
+      to a factor X with signed weights, carried as above and added on,
+      until the next measurement resets it. For a hub too ill-conditioned
+      for that identity (`band_gaps` returns None), the measured state
+      is instead the factor of its unit columns, weighted by p, and stays
+      on the first route at O(n^3) per row.
+
+    Each pre row is instead `evolve` of the previous post-intervention
+    matrix, and its populations must match the route's within
+    `CROSS_CHECK_TOL`; each post row is `apply_intervention`'s result.
+    Every row evolves from its segment start, never from the previous
+    sample, so sampling density cannot change the states visited.
     """
     h, state = build(spec.model)
     spectral, (eps, c) = eigendecompose(h), hub(spec.model)
@@ -252,9 +277,9 @@ def run(spec: ScenarioSpec) -> Trajectory:
     pairs = spec.resolved_pairs()
     t, events, grid, markers = _row_plan(spec)
 
-    rows = t.size
+    rows, dim = t.size, spec.model.dim
     columns = (
-        np.empty((rows, spec.model.dim)),  # populations
+        np.empty((rows, dim)),  # populations
         np.empty(rows),  # sigma
         np.empty((rows, len(pairs)), dtype=np.complex128),  # coherences
         np.empty(rows),  # trace
@@ -267,31 +292,60 @@ def run(spec: ScenarioSpec) -> Trajectory:
         for column, value in zip(columns, row):
             column[r] = value
 
-    # a segment starts at t = 0 or at a post row; its factored rows run
-    # up to and including the next pre row, which `evolve` then overwrites
+    # a segment starts at t = 0 or at a post row; its rows run up to and
+    # including the next pre row, which `evolve` then overwrites
     seg_t, first = 0.0, 0
-    x, w = _diagonal_factor(state)  # build starts every model in |0><0|
+    x, w = np.eye(dim, 1, dtype=np.complex128), np.ones(1)  # build starts in |0><0|
+    measured = None  # (time, populations) of the last measurement, on the row-0 route
+    route = None  # the row-0 route's (vv, gaps), or False where `band_gaps` refuses it
     for marker, item in zip([*markers, None], [*spec.schedule, None]):
         last = rows - 1 if marker is None else marker.pre
-        for k, x in evolve_factor(x, spectral, t[first : last + 1] - seg_t):
-            put(slice(first + k, first + k + x.shape[1]), factor_observables(x, w, eps, c, pairs))
+        if measured is not None:
+            tau, p = measured
+            vv, gaps = route
+            step = BLOCK_ENTRIES // dim
+            for lo in range(first, last + 1, step):
+                hi = min(lo + step, last + 1)
+                u, d = row0_and_diagonal(spectral, vv, t[lo:hi] - tau)
+                put(slice(lo, hi), dephased_observables(u, d, p, gaps, eps, c, pairs))
+        blocks = evolve_factor(x, spectral, t[first : last + 1] - seg_t) if x.shape[1] else ()
+        for k, xt in blocks:
+            r = slice(first + k, first + k + xt.shape[1])
+            part = factor_observables(xt, w, eps, c, pairs)
+            if measured is None:
+                put(r, part)
+            else:  # the flip columns' share; purity stays the dephased route's
+                for q in (0, 1, 2, 5):  # populations, sigma, coherences, energy
+                    columns[q][r] += part[q]
+                columns[3][r] = populations[r].sum(axis=1)
         if marker is None:
             break
-        x = x[:, -1].copy()  # the factor at the pre row; drops the last block
         state = evolve(state, spectral, marker.time - seg_t)  # the pre row's full matrix
         row = record_observables(state, eps, c, pairs)
         drift = float(np.max(np.abs(row[0] - populations[last])))
         if not drift <= CROSS_CHECK_TOL:
             raise ValidationError(
-                f"factored populations differ from evolve by {drift:.3e} in row {last}"
+                f"route populations differ from evolve by {drift:.3e} in row {last}"
             )
         put(last, row)
         state = apply_intervention(state, item)
         put(marker.post, record_observables(state, eps, c, pairs))
-        if item.kind is InterventionKind.SIGN_FLIP:
-            x[item.target] *= -1.0  # U = 1 - 2|s><s| negates row s of X
+        if item.kind is InterventionKind.MEASURE:
+            if route is None:  # built at the first measurement
+                gaps = band_gaps(eps, c)
+                route = gaps is not None and (spectral.eigenvectors**2, gaps)
+            if not route:  # too ill-conditioned: one unit column per populated level
+                x, w = _diagonal_factor(populations[marker.post])
+            else:
+                measured = marker.time, populations[marker.post].copy()
+                x, w = x[:, :0], w[:0]
         else:
-            x, w = _diagonal_factor(state)
+            if x.shape[1]:  # the factor at the pre row; U = 1 - 2|s><s| negates row s
+                x = xt[:, -1].copy()
+                x[item.target] *= -1.0
+            if measured is not None:
+                xs, ws = flip_columns(spectral, p, marker.time - tau, item.target)
+                x, w = np.hstack((x, xs)), np.concatenate((w, ws))
         seg_t, first = marker.time, marker.post + 1
 
     validate_observables(populations, columns[3], columns[4])

@@ -326,6 +326,22 @@ def test_non_finite_inputs_exit_3(tmp_path, capsys, section, values, field):
         assert "Traceback" not in err
 
 
+def test_structure_and_type_problems_reported_together(tmp_path, capsys):
+    """An unknown key does not hide a wrong-typed value elsewhere, nor a
+    null value its own type problem twice."""
+    doc = base_config(
+        tmp_path,
+        model={"kind": "two_level", "extra": 1},
+        run={"t_final": "2.0", "sample_dt": 0.25},
+        interventions=[{"time": 1.0, "kind": None}],
+    )
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert "invalid config: unknown key model.extra; " in err
+    assert "; run.t_final must be a number, got '2.0'" in err
+    assert err.count("interventions[0].kind") == 1, err
+
+
 @pytest.mark.parametrize(
     "section, values, path",
     [
@@ -390,11 +406,16 @@ def config_documents(draw):
     kind = draw(st.sampled_from(
         ["two_level", "level_in_continuum", "level_outside_continuum", "custom_continuum"]
     ))
-    model = {"kind": kind, "v": draw(st.sampled_from([0.2, 0.01])), "eps0": 0.0}
+    # 20.0 is a strong coupling, and spacing 1e-6 a gap too tight for the row-0 route
+    model = {"kind": kind, "v": draw(st.sampled_from([0.2, 0.01, 20.0])), "eps0": 0.0}
     if kind == "two_level":
         model["eps1"] = 0.2
     else:
-        model.update(d=5.0, n_levels=draw(st.sampled_from([2, 4, 8])), spacing=0.05)
+        model.update(
+            d=5.0,
+            n_levels=draw(st.sampled_from([2, 4, 8])),
+            spacing=draw(st.sampled_from([0.05, 1e-6])),
+        )
     times = sorted(draw(st.sets(st.sampled_from([0.25, 0.5, 0.75]), max_size=3)))
     doc = {
         "model": model,

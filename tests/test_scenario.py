@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from zenosim import scenario
 from zenosim.core import HermitianMatrix, ParameterError, ValidationError, ZenosimError
-from zenosim.diagnostics import record_observables
+from zenosim.diagnostics import dephased_observables, record_observables
 from zenosim.interventions import (
     Intervention,
     InterventionKind,
@@ -17,7 +17,13 @@ from zenosim.interventions import (
     apply_intervention,
 )
 from zenosim.models import ModelKind, ModelSpec, build, hub
-from zenosim.propagator import eigendecompose, evolve, rk4_evolve
+from zenosim.propagator import (
+    band_gaps,
+    eigendecompose,
+    evolve,
+    rk4_evolve,
+    row0_and_diagonal,
+)
 from zenosim.scenario import (
     Effect,
     ScenarioSpec,
@@ -113,7 +119,9 @@ def test_flip_marker_negates_sigma_exactly():
 
 @st.composite
 def band_models(draw):
-    """Small bands, coupled strongly enough that every level moves."""
+    """Small bands, coupled strongly enough that every level moves, with two
+    corners: a tight gap (spacing 1e-6 of the span), which is too
+    ill-conditioned for the dephased row-0 route, and a strong coupling."""
     n = draw(st.integers(2, 12))
     d = draw(st.floats(0.5, 2.0))
     factory = draw(
@@ -123,8 +131,8 @@ def band_models(draw):
         eps0=draw(st.floats(-2.0, 2.0)),
         d=d,
         n_levels=n,
-        spacing=draw(st.floats(0.1, 1.0)) * 2 * d / (n - 1),
-        v=draw(st.floats(0.05, 0.5)),
+        spacing=draw(st.floats(0.1, 1.0) | st.just(1e-6)) * 2 * d / (n - 1),
+        v=draw(st.floats(0.05, 0.5) | st.just(2.0)),
     )
 
 
@@ -216,9 +224,26 @@ M, F = InterventionKind.MEASURE, InterventionKind.SIGN_FLIP
         ModelSpec.level_in_continuum(eps0=0.1, d=1.0, n_levels=8, spacing=0.25, v=0.3),
     )
 )
+@example(  # a tight gap: the measured state stays on the column route
+    two_level_scenario(
+        2.0,
+        0.1,
+        [Intervention(0.33, M), Intervention(0.7, F, 4), Intervention(1.2, F, 0)],
+        ModelSpec.level_in_continuum(eps0=0.1, d=1.0, n_levels=8, spacing=2e-6, v=0.3),
+    )
+)
+@example(  # a hub condition of 90, just inside the row-0 route's limit
+    two_level_scenario(
+        2.0,
+        0.1,
+        [Intervention(0.33, M), Intervention(0.7, F, 11), Intervention(1.2, F, 0)],
+        ModelSpec.level_outside_continuum(eps0=2.0, d=0.5, n_levels=12, spacing=0.034, v=0.5),
+    )
+)
 def test_run_matches_per_row_evolve_and_rk4(spec):
-    """A flip after a measurement leaves a mixed state with coherences,
-    which only a full factor X (not a diagonal shortcut) carries."""
+    """A flip after a measurement leaves a mixed state with coherences: the
+    dephased route carries them as two signed columns per flip, and an
+    ill-conditioned hub carries the whole state as a full factor X."""
     traj = run(spec)
     names = ["populations", "sigma", "coherences", "trace", "purity", "energy"]
     for name, want in zip(names, reference_columns(traj)):
@@ -269,6 +294,89 @@ def test_runs_are_bit_identical():
     np.testing.assert_array_equal(a.populations, b.populations)
     np.testing.assert_array_equal(a.sigma, b.sigma)
     np.testing.assert_array_equal(a.purity, b.purity)
+
+
+def test_band_runs_are_bit_identical():
+    spec = two_level_scenario(
+        3.0, 0.1, [Intervention(0.7, M), Intervention(1.9, F, 3)],
+        ModelSpec.level_in_continuum(eps0=0.1, d=1.0, n_levels=8, spacing=0.25, v=0.3),
+    )
+    a, b = run(spec), run(spec)
+    for name in ("t", "populations", "sigma", "coherences", "trace", "purity", "energy"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+ROUTE_MODELS = [
+    ModelSpec.two_level(),
+    ModelSpec.level_in_continuum(),
+    ModelSpec.level_outside_continuum(),
+    ModelSpec.custom_continuum(eps0=0.0, d=5.0, n_levels=1000, spacing=0.01, v=0.05),
+]
+
+
+@pytest.mark.parametrize("model", ROUTE_MODELS, ids=lambda m: f"{m.kind.value}-{m.dim}")
+def test_dephased_route_matches_evolve(model):
+    """Row 0 and the diagonal of U rebuild every observable of U diag(p) U^H."""
+    h, _ = build(model)
+    spectral, (eps, c) = eigendecompose(h), hub(model)
+    n = model.dim
+    p = np.random.default_rng(n).dirichlet(np.ones(n))
+    pairs = ((1, 0), (0, 1), *(((n - 1, 1), (1, n - 1)) if n > 2 else ()))
+    times = np.array([0.0, 0.7, 13.0, 120.0])
+    u, d = row0_and_diagonal(spectral, spectral.eigenvectors**2, times)
+    got = dephased_observables(u, d, p, band_gaps(eps, c), eps, c, pairs)
+    rho = HermitianMatrix(np.diag(p).astype(np.complex128))
+    for r, t in enumerate(times):
+        want = record_observables(evolve(rho, spectral, t), eps, c, pairs)
+        for column, value in zip(got, want):
+            np.testing.assert_allclose(column[r], value, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", ROUTE_MODELS, ids=lambda m: f"{m.kind.value}-{m.dim}")
+def test_measure_flip_flip_matches_per_row_evolve(model):
+    """Two flips after a measurement add four signed columns to the route."""
+    pairs = ((1, 0), *(((model.dim - 1, 1),) if model.dim > 2 else ()))
+    spec = ScenarioSpec(
+        model, 1.0, 0.25,
+        InterventionSchedule((Intervention(0.3, M), Intervention(0.45, F, 1),
+                              Intervention(0.6, F, 0))),
+        coherence_pairs=pairs,
+    )
+    traj = run(spec)
+    names = ["populations", "sigma", "coherences", "trace", "purity", "energy"]
+    for name, want in zip(names, reference_columns(traj)):
+        got = getattr(traj, name)
+        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_dephased_segments_never_carry_a_full_factor(monkeypatch):
+    """After a measurement only the flips' columns go through `evolve_factor`;
+    a full factor (`_diagonal_factor`) is left to ill-conditioned hubs."""
+    widths, full = [], []
+    exact_evolve, exact_full = scenario.evolve_factor, scenario._diagonal_factor
+
+    def counting(x, spectral, times):
+        widths.append(x.shape[1])
+        return exact_evolve(x, spectral, times)
+
+    def counting_full(p):
+        full.append(p.size)
+        return exact_full(p)
+
+    monkeypatch.setattr(scenario, "evolve_factor", counting)
+    monkeypatch.setattr(scenario, "_diagonal_factor", counting_full)
+    model = ModelSpec.level_in_continuum(eps0=0.1, d=1.0, n_levels=8, spacing=0.25, v=0.3)
+    measures = [Intervention(0.4 * k, M) for k in (1, 2, 3)]
+    run(two_level_scenario(2.0, 0.1, measures, model))
+    assert widths == [1] and full == []  # only the pure segment before the first measurement
+    widths.clear()
+    run(two_level_scenario(2.0, 0.1, [*measures, Intervention(1.5, F, 2),
+                                      Intervention(1.7, F, 0)], model))
+    assert widths == [1, 2, 4] and full == []
+    tight = ModelSpec.level_in_continuum(eps0=0.1, d=1.0, n_levels=8, spacing=2e-6, v=0.3)
+    assert band_gaps(*hub(tight)) is None
+    run(two_level_scenario(2.0, 0.1, measures, tight))
+    assert full == [9, 9, 9]
 
 
 def test_run_batch_matches_sequential():
