@@ -6,15 +6,17 @@ a uniform grid. Between two interventions no sample forms an n x n
 matrix. Until the first measurement the state is one vector, carried by
 `evolve_factor`. After a measurement it is U diag(p) U^H, read from
 row 0 and the diagonal of U alone (`row0_and_diagonal`,
-`dephased_observables`), plus two signed vectors per later flip; see
-`run`. Interventions are
-instantaneous: each contributes a pre row and a post row at the same
-time stamp, with equal populations and (possibly) different
-coherences. Both are built from full density matrices (`evolve`, then
-`apply_intervention`), and the pre row cross-checks the factored state.
-When an intervention lands exactly on a grid point, the intervention
-applies first, the grid sample is the post row, and the pre row sits
-just before it.
+`dephased_observables`), plus two signed vectors per later flip, at
+most n in all; see `run`. Interventions are instantaneous: each
+contributes a pre row and a post row at the same time stamp, with equal
+populations and (possibly) different coherences. Both come from a
+check chain that carries the exact state from intervention to
+intervention in the eigenbasis of H, at one n x n x 2n real GEMM and
+one Cholesky per intervention (plus one n x n x n GEMM after a
+measurement), and the pre row cross-checks the routes' state. When an
+intervention lands exactly on a grid point, the intervention applies
+first, the grid sample is the post row, and the pre row sits just
+before it.
 
 The pipeline is deterministic end to end; repeated runs of the same
 spec produce bit-identical trajectories.
@@ -28,28 +30,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ValidationError, _is_integer, _is_real, _show
-from .diagnostics import (
-    dephased_observables,
-    factor_observables,
-    record_observables,
-    validate_observables,
-)
-from .interventions import (
-    InterventionKind,
-    InterventionSchedule,
-    apply_intervention,
-)
+from .core import HermitianMatrix, ValidationError, _is_integer, _is_real, _show
+from .diagnostics import dephased_observables, factor_observables, validate_observables
+from .interventions import InterventionKind, InterventionSchedule
 from .models import ModelKind, ModelSpec, build, hub
 from .propagator import (
     BLOCK_ENTRIES,
+    _real_times,
     band_gaps,
     eigendecompose,
-    evolve,
     evolve_factor,
     flip_columns,
     row0_and_diagonal,
 )
+
+# `run` calls none of these: perfbench/tracer.py binds them here (test_every_traced_binding_exists)
+from .diagnostics import record_observables  # noqa: F401
+from .interventions import apply_intervention  # noqa: F401
+from .propagator import evolve  # noqa: F401
 
 __all__ = [
     "ScenarioSpec",
@@ -67,7 +65,7 @@ MAX_ROWS = 100_000
 # longest run: models.MAX_ENERGY keeps eigenvalues below ~3.3e4, so every
 # phase (eigenvalue x time) stays finite
 MAX_TIME = 1e300
-# max |populations| gap between the factored state and `evolve` at a pre row
+# max |populations| gap between the routes and the check chain at a pre row
 CROSS_CHECK_TOL = 1e-12
 
 
@@ -246,6 +244,69 @@ def _diagonal_factor(p):
     return x, p[keep]
 
 
+def _merged_columns(x, w):
+    """At most n orthonormal columns carrying the same X diag(w) X^H.
+
+    With the thin QR X = Q R, X diag(w) X^H = Q (R diag(w) R^H) Q^H, and
+    the eigenvectors Z of the small Hermitian middle give Q Z.
+    """
+    q, r = np.linalg.qr(x)
+    w, z = np.linalg.eigh((r * w) @ r.conj().T)
+    return q @ z, w
+
+
+def _readout(rho, vec, pairs):
+    """Populations, row 0 and the tracked pairs of V rho V^T, from the
+    eigenbasis state rho, at one n x n product A = V rho (a real GEMM on
+    rho's float64 view): P_j = sum_m Re(A_jm) V_jm, row 0 is A[0] V^T and
+    pair (j, k) is A[j] . V[k]."""
+    a = _real_times(vec, rho)
+    p = np.einsum("jm,jm->j", a.real, vec)
+    row0 = _real_times(vec, a[0][:, None])[:, 0]
+    return p, row0, np.array([a[j] @ vec[k] for j, k in pairs], dtype=np.complex128)
+
+
+def _row(p, row0, coherences, purity, eps, c) -> tuple:
+    """A trajectory row from the populations and row 0 of rho, as
+    `record_observables` forms it for the hub ``(eps, c)``."""
+    return p, row0.imag[1:].sum(), coherences, p.sum(), purity, p @ eps + 2.0 * (row0.real @ c)
+
+
+def _dephase(rho, vec, p) -> None:
+    """Set the eigenbasis state rho to V^T diag(p) V in place, by one real
+    GEMM symmetrized as `evolve` does."""
+    m = (vec.T * p) @ vec
+    rho.real = 0.5 * (m + m.T)
+    rho.imag = 0.0
+
+
+def _flip(rho, v) -> None:
+    """Apply a flip to the eigenbasis state rho in place, at O(n^2).
+
+    F = 1 - 2|s><s| reads 1 - 2 v v^T in the eigenbasis, with v = row s
+    of V. With g = rho v and h = g - Re(v^T g) v, F rho F = rho - 2 (v g^H
+    + g v^T) + 4 Re(v^T g) v v^T = rho - 2 (h v^T + v h^H). The update is
+    summed with its own conjugate transpose before it is subtracted, so
+    rho stays exactly Hermitian however many flips follow.
+    """
+    g = rho @ v
+    m = np.multiply.outer(g - (v @ g).real * v, 2.0 * v)
+    m += m.conj().T
+    rho -= m
+
+
+def _flipped(row0, coherences, s: int, pairs):
+    """Row 0 and the tracked pairs after a flip of level s, which negates
+    row and column s of rho off the diagonal."""
+    row0 = row0.copy()
+    if s == 0:
+        row0[1:] *= -1.0
+    else:
+        row0[s] *= -1.0
+    signs = [-1.0 if (j == s) != (k == s) else 1.0 for j, k in pairs]
+    return row0, coherences * signs
+
+
 def run(spec: ScenarioSpec) -> Trajectory:
     """Execute one scenario.
 
@@ -260,20 +321,29 @@ def run(spec: ScenarioSpec) -> Trajectory:
       `dephased_observables` from row 0 and the diagonal of U alone, at
       O(n^2) per row. Each later flip adds two columns (`flip_columns`)
       to a factor X with signed weights, carried as above and added on,
-      until the next measurement resets it. For a hub too ill-conditioned
-      for that identity (`band_gaps` returns None), the measured state
-      is instead the factor of its unit columns, weighted by p, and stays
-      on the first route at O(n^3) per row.
+      until the next measurement resets it; past n columns X is merged
+      into n orthonormal ones (`_merged_columns`). For a hub too
+      ill-conditioned for that identity (`band_gaps` returns None), the
+      measured state is instead the factor of its unit columns, weighted
+      by p, and stays on the first route at O(n^3) per row.
 
-    Each pre row is instead `evolve` of the previous post-intervention
-    matrix, and its populations must match the route's within
-    `CROSS_CHECK_TOL`; each post row is `apply_intervention`'s result.
-    Every row evolves from its segment start, never from the previous
-    sample, so sampling density cannot change the states visited.
+    A check chain, which never reads the routes, carries the state exactly
+    from intervention to intervention in the eigenbasis of H, as
+    rho~ = V^T rho V. There a segment is a phase product, rho~_mn times
+    exp(-i (lam_m - lam_n) t), at O(n^2). At each pre row the chain reads
+    rho = V rho~ V^T through one n x n x 2n real GEMM (`_readout`), and
+    the route's populations must match within `CROSS_CHECK_TOL`. The pre
+    row is then the chain's, and the pre state passes
+    `HermitianMatrix.validate_density` (rho~ has rho's trace, spectrum
+    and purity). A measurement sets rho~ = V^T diag(P) V (one n x n x n
+    real GEMM); a flip is a rank-two update (`_flip`) at O(n^2). Every
+    row evolves from its segment start, never from the previous sample,
+    so sampling density cannot change the states visited.
     """
-    h, state = build(spec.model)
+    h, _ = build(spec.model)
     spectral, (eps, c) = eigendecompose(h), hub(spec.model)
     del h  # only the eigendecomposition reads the dense H; free it for the run
+    vec, lam = spectral.eigenvectors, spectral.eigenvalues
     pairs = spec.resolved_pairs()
     t, events, grid, markers = _row_plan(spec)
 
@@ -293,9 +363,10 @@ def run(spec: ScenarioSpec) -> Trajectory:
             column[r] = value
 
     # a segment starts at t = 0 or at a post row; its rows run up to and
-    # including the next pre row, which `evolve` then overwrites
+    # including the next pre row, which the check chain then overwrites
     seg_t, first = 0.0, 0
     x, w = np.eye(dim, 1, dtype=np.complex128), np.ones(1)  # build starts in |0><0|
+    rho = np.multiply.outer(vec[0], vec[0]).astype(np.complex128)  # the chain's |0><0|
     measured = None  # (time, populations) of the last measurement, on the row-0 route
     route = None  # the row-0 route's (vv, gaps), or False where `band_gaps` refuses it
     for marker, item in zip([*markers, None], [*spec.schedule, None]):
@@ -320,32 +391,44 @@ def run(spec: ScenarioSpec) -> Trajectory:
                 columns[3][r] = populations[r].sum(axis=1)
         if marker is None:
             break
-        state = evolve(state, spectral, marker.time - seg_t)  # the pre row's full matrix
-        row = record_observables(state, eps, c, pairs)
-        drift = float(np.max(np.abs(row[0] - populations[last])))
+        phases = np.exp(-1j * lam * (marker.time - seg_t))
+        rho *= np.multiply.outer(phases, phases.conj())
+        pre, row0, coherences = _readout(rho, vec, pairs)
+        drift = float(np.max(np.abs(pre - populations[last])))
         if not drift <= CROSS_CHECK_TOL:
             raise ValidationError(
-                f"route populations differ from evolve by {drift:.3e} in row {last}"
+                f"route populations differ from the check chain by {drift:.3e} in row {last}"
             )
-        put(last, row)
-        state = apply_intervention(state, item)
-        put(marker.post, record_observables(state, eps, c, pairs))
+        purity = np.vdot(rho, rho).real
+        put(last, _row(pre, row0, coherences, purity, eps, c))
+        HermitianMatrix._wrap(rho).validate_density()
         if item.kind is InterventionKind.MEASURE:
+            # the post row is diag(P) and reuses the pre row's P, so their
+            # populations agree exactly
+            _dephase(rho, vec, pre)
+            row0 = np.zeros(dim)
+            row0[0] = pre[0]
+            put(marker.post, _row(pre, row0, np.zeros_like(coherences), pre @ pre, eps, c))
             if route is None:  # built at the first measurement
                 gaps = band_gaps(eps, c)
-                route = gaps is not None and (spectral.eigenvectors**2, gaps)
+                route = gaps is not None and (vec**2, gaps)
             if not route:  # too ill-conditioned: one unit column per populated level
-                x, w = _diagonal_factor(populations[marker.post])
+                x, w = _diagonal_factor(pre)
             else:
-                measured = marker.time, populations[marker.post].copy()
+                measured = marker.time, pre
                 x, w = x[:, :0], w[:0]
         else:
+            _flip(rho, vec[item.target])
+            row0, coherences = _flipped(row0, coherences, item.target, pairs)
+            put(marker.post, _row(pre, row0, coherences, purity, eps, c))
             if x.shape[1]:  # the factor at the pre row; U = 1 - 2|s><s| negates row s
                 x = xt[:, -1].copy()
                 x[item.target] *= -1.0
             if measured is not None:
                 xs, ws = flip_columns(spectral, p, marker.time - tau, item.target)
                 x, w = np.hstack((x, xs)), np.concatenate((w, ws))
+                if x.shape[1] > dim:
+                    x, w = _merged_columns(x, w)
         seg_t, first = marker.time, marker.post + 1
 
     validate_observables(populations, columns[3], columns[4])

@@ -200,6 +200,14 @@ def reference_columns(traj):
     return [np.array(column) for column in zip(*rows)]
 
 
+def assert_matches_reference(traj):
+    """Every column of ``traj`` within 1e-12 of `reference_columns`."""
+    names = ["populations", "sigma", "coherences", "trace", "purity", "energy"]
+    for name, want in zip(names, reference_columns(traj)):
+        got = getattr(traj, name)
+        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12, err_msg=name)
+
+
 def rk4_final_state(spec, t_end):
     _, rho = build(spec.model)
     eps, c = hub(spec.model)
@@ -240,15 +248,26 @@ M, F = InterventionKind.MEASURE, InterventionKind.SIGN_FLIP
         ModelSpec.level_outside_continuum(eps0=2.0, d=0.5, n_levels=12, spacing=0.034, v=0.5),
     )
 )
+@example(  # six flips after a measurement: past n = 5 the flip columns are merged
+    two_level_scenario(
+        1.0,
+        0.1,
+        [Intervention(0.12, M), *(Intervention(0.2 + 0.1 * k, F, k % 5) for k in range(6))],
+        ModelSpec.level_in_continuum(eps0=0.1, d=1.0, n_levels=4, spacing=0.5, v=0.3),
+    )
+)
+@example(  # thirty alternating flips of a pure state on the check chain
+    two_level_scenario(
+        1.0, 0.1, [*(Intervention(0.03 + 0.03 * k, F, k % 2) for k in range(30))]
+    )
+)
 def test_run_matches_per_row_evolve_and_rk4(spec):
     """A flip after a measurement leaves a mixed state with coherences: the
-    dephased route carries them as two signed columns per flip, and an
-    ill-conditioned hub carries the whole state as a full factor X."""
+    dephased route carries them as two signed columns per flip (merged into
+    at most n), and an ill-conditioned hub carries the whole state as a full
+    factor X. The pre and post rows come from the check chain."""
     traj = run(spec)
-    names = ["populations", "sigma", "coherences", "trace", "purity", "energy"]
-    for name, want in zip(names, reference_columns(traj)):
-        got = getattr(traj, name)
-        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12, err_msg=name)
+    assert_matches_reference(traj)
     final = record_observables(
         rk4_final_state(spec, traj.t[-1]), *hub(spec.model), spec.resolved_pairs()
     )
@@ -258,17 +277,15 @@ def test_run_matches_per_row_evolve_and_rk4(spec):
 
 
 def test_cross_check_names_the_row_that_drifts(monkeypatch):
-    """`run` compares its factored populations with `evolve` at every
-    pre row; a 1e-9 drift there must stop the run."""
-    exact = scenario.evolve
+    """`run` compares its routes' populations with the check chain's at
+    every pre row; a 1e-9 drift there must stop the run."""
+    exact = scenario._readout
 
-    def drifting(rho, spectral, t):
-        m = np.asarray(exact(rho, spectral, t))
-        m[0, 0] += 1e-9
-        m[1, 1] -= 1e-9
-        return HermitianMatrix(m)
+    def drifting(rho, vec, pairs):
+        p, row0, coherences = exact(rho, vec, pairs)
+        return p + np.array([1e-9, -1e-9]), row0, coherences
 
-    monkeypatch.setattr(scenario, "evolve", drifting)
+    monkeypatch.setattr(scenario, "_readout", drifting)
     spec = two_level_scenario(schedule=[Intervention(1.1, M), Intervention(2.0, F, 1)])
     with pytest.raises(ValidationError, match=r"by 1\.0\d*e-09 in row 5$"):
         run(spec)
@@ -342,11 +359,7 @@ def test_measure_flip_flip_matches_per_row_evolve(model):
                               Intervention(0.6, F, 0))),
         coherence_pairs=pairs,
     )
-    traj = run(spec)
-    names = ["populations", "sigma", "coherences", "trace", "purity", "energy"]
-    for name, want in zip(names, reference_columns(traj)):
-        got = getattr(traj, name)
-        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12, err_msg=name)
+    assert_matches_reference(run(spec))
 
 
 def test_dephased_segments_never_carry_a_full_factor(monkeypatch):
@@ -377,6 +390,78 @@ def test_dephased_segments_never_carry_a_full_factor(monkeypatch):
     assert band_gaps(*hub(tight)) is None
     run(two_level_scenario(2.0, 0.1, measures, tight))
     assert full == [9, 9, 9]
+
+
+BAND9 = ModelSpec.level_in_continuum(eps0=0.1, d=1.0, n_levels=8, spacing=0.25, v=0.3)
+
+
+def test_flip_columns_stay_bounded(monkeypatch):
+    """Twelve flips after a measurement would give 24 flip columns; past n
+    they are merged into at most n = 9, and the rows stay exact."""
+    widths = []
+    exact = scenario.evolve_factor
+
+    def counting(x, spectral, times):
+        widths.append(x.shape[1])
+        return exact(x, spectral, times)
+
+    monkeypatch.setattr(scenario, "evolve_factor", counting)
+    flips = [Intervention(0.3 + 0.1 * k, F, (0, 3, 8)[k % 3]) for k in range(12)]
+    spec = ScenarioSpec(BAND9, 2.0, 0.1, InterventionSchedule((Intervention(0.2, M), *flips)),
+                        coherence_pairs=((1, 0), (8, 3)))
+    traj = run(spec)
+    assert widths[:5] == [1, 2, 4, 6, 8] and max(widths) == 9 and len(widths) == 13
+    assert_matches_reference(traj)
+
+
+@pytest.mark.parametrize("model", [ModelSpec.two_level(), BAND9], ids=lambda m: f"dim-{m.dim}")
+@pytest.mark.parametrize("measured", [False, True], ids=["pure", "measured"])
+def test_long_flip_trains_stay_exact(model, measured):
+    """200 flips with alternating targets: the check chain's rank-two update
+    and the routes must not drift from per-row `evolve`."""
+    targets = (0, model.dim - 1)
+    flips = [Intervention(0.05 * (k + 1), F, targets[k % 2]) for k in range(200)]
+    first = [Intervention(0.02, M)] if measured else []
+    spec = ScenarioSpec(model, 10.5, 0.5, InterventionSchedule((*first, *flips)),
+                        coherence_pairs=((1, 0), (model.dim - 1, 0)) if model.dim > 2 else None)
+    assert_matches_reference(run(spec))
+
+
+def _failed_gates(m) -> list:
+    try:
+        HermitianMatrix._wrap(m).validate_density()
+    except ValidationError as exc:
+        return [gate for gate in ("trace", "eigenvalue", "purity") if gate in str(exc)]
+    return []
+
+
+@pytest.mark.parametrize(
+    "spectrum, failed",
+    [
+        ([-2e-10, 0.5, 0.5 + 2e-10], ["eigenvalue"]),
+        ([-5e-11, 0.5, 0.5 + 5e-11], []),
+        ([0.2, 0.3, 0.5 + 2e-10], ["trace"]),
+        ([0.2, 0.3, 0.5 - 2e-10], ["trace"]),
+        ([0.2, 0.3, 0.5 + 5e-11], []),
+        ([0.2, 0.3, 0.5 - 5e-11], []),
+        ([1.0 + 6e-11, -6e-11], ["purity"]),  # purity 1 + 1.2e-10
+        ([1.0 + 4e-11, -4e-11], []),  # purity 1 + 8e-11
+        ([(1.0 - 5e-11) / 9] * 9, []),  # purity 1/9 - 1.1e-11
+        ([(1.0 - 1e-9) / 9] * 9, ["trace", "purity"]),  # purity 1/9 - 2.2e-10
+    ],
+)
+def test_gates_agree_in_the_eigenbasis(spectrum, failed):
+    """The check chain validates V^T rho V in place of rho: every gate of
+    `validate_density` must give the same verdict on both, on either side of
+    its tolerance."""
+    rng = np.random.default_rng(len(spectrum))
+    z = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    q = np.linalg.qr(z)[0][:, : len(spectrum)]
+    rho = (q * spectrum) @ q.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    vec = eigendecompose(build(BAND9)[0]).eigenvectors
+    assert _failed_gates(rho) == failed
+    assert _failed_gates(vec.T @ rho @ vec) == failed
 
 
 def test_run_batch_matches_sequential():
